@@ -16,10 +16,15 @@ import dataclasses
 import gc
 import json
 import math
+import os
+import platform
+import subprocess
 import time
 from pathlib import Path
 
-from repro.analysis.experiments import ExperimentSetup, default_setup
+import numpy as np
+
+from repro.analysis.experiments import ExperimentSetup, default_setup, repro_scale
 from repro.core import SlotConfig
 from repro.qos.spec import QoSReport
 from repro.traces.wan import WANProfile
@@ -96,19 +101,47 @@ def interleaved_min(n: int, fns) -> list[float]:
     return best
 
 
+def git_sha() -> str:
+    """Commit the benchmark ran from, or ``"unknown"`` outside a checkout."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=Path(__file__).parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    return out.stdout.strip() if out.returncode == 0 else "unknown"
+
+
+def env_block() -> dict:
+    """Where a number came from: commit, interpreter, numpy, cores, scale."""
+    return {
+        "git_sha": git_sha(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "repro_scale": repro_scale(),
+    }
+
+
 def emit(name: str, text: str, data: dict | None = None) -> None:
     """Print a rendered table/series and archive it for EXPERIMENTS.md.
 
     When ``data`` is given, a machine-readable companion is written to
     ``results/BENCH_<name>.json`` so downstream tooling (dashboards,
-    regression trackers) never has to re-parse the human tables.
+    regression trackers) never has to re-parse the human tables.  Every
+    such file carries an ``env`` block (:func:`env_block`), so a figure
+    is never read without the commit and host it came from.
     """
     print()
     print(text)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     if data is not None:
-        payload = {"bench": name, **_jsonable(data)}
+        payload = {"bench": name, **_jsonable(data), "env": env_block()}
         (RESULTS_DIR / f"BENCH_{name}.json").write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n"
         )

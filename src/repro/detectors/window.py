@@ -11,17 +11,22 @@ Numerical note: running sums drift after ~1e7 float64 additions; the
 windows recompute their sums from the buffer every ``RECOMPUTE_EVERY``
 insertions to keep the error bounded without changing the O(1) amortized
 cost.
+
+:class:`SortedWindow` serves the order-statistic detectors instead: it
+keeps its samples sorted, so a windowed quantile is an index lookup.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
+from collections import deque
 
 import numpy as np
 
 from repro.errors import ConfigurationError, NotWarmedUpError
 
-__all__ = ["SampleWindow", "HeartbeatWindow"]
+__all__ = ["SampleWindow", "SortedWindow", "HeartbeatWindow"]
 
 #: Refresh running sums from the raw buffer this often (amortized O(1)).
 RECOMPUTE_EVERY = 65536
@@ -126,6 +131,82 @@ class SampleWindow:
         self._sum = 0.0
         self._sumsq = 0.0
         self._pushes = 0
+
+
+class SortedWindow:
+    """Fixed-capacity sliding window with exact windowed quantiles.
+
+    A FIFO of the live samples plus the same samples in a sorted list:
+    each push inserts the new sample with ``insort`` and deletes the
+    evicted one at its ``bisect_left`` position — an O(log W) search plus
+    one C ``memmove`` of the list tail, instead of a copy and a selection
+    over the whole window per query.  Order statistics are exact elements of
+    the window, and :meth:`quantile` repeats numpy's interpolation
+    operation for operation, so results are bitwise equal to
+    ``np.quantile(window, q)``.
+
+    Parameters
+    ----------
+    capacity:
+        Window size ``WS`` (number of retained samples), must be >= 1.
+    """
+
+    __slots__ = ("_fifo", "_sorted", "_capacity")
+
+    def __init__(self, capacity: int):
+        if capacity < 1:
+            raise ConfigurationError(f"window capacity must be >= 1, got {capacity!r}")
+        self._capacity = int(capacity)
+        self._fifo: deque[float] = deque()
+        self._sorted: list[float] = []
+
+    @property
+    def capacity(self) -> int:
+        return self._capacity
+
+    def __len__(self) -> int:
+        return len(self._fifo)
+
+    def push(self, value: float) -> float | None:
+        """Insert ``value``; return the evicted (oldest) sample or ``None``."""
+        value = float(value)
+        if not math.isfinite(value):
+            raise ConfigurationError(f"window samples must be finite, got {value!r}")
+        fifo = self._fifo
+        fifo.append(value)
+        insort(self._sorted, value)
+        if len(fifo) > self._capacity:
+            evicted = fifo.popleft()
+            del self._sorted[bisect_left(self._sorted, evicted)]
+            return evicted
+        return None
+
+    def quantile(self, q: float) -> float:
+        """The ``q``-quantile (``0 <= q <= 1``) of the live samples.
+
+        numpy's default ``"linear"`` method, step by step: virtual index
+        ``v = (n − 1)·q``, the maximum once ``v`` reaches ``n − 1``, and
+        otherwise numpy's two-sided lerp between the order statistics
+        around ``v`` (from below for ``g < 0.5``, from above otherwise).
+        """
+        s = self._sorted
+        n = len(s)
+        if n == 0:
+            raise NotWarmedUpError("window is empty")
+        v = (n - 1) * q
+        if v >= n - 1:
+            return s[-1]
+        lo = math.floor(v)
+        g = v - lo
+        a = s[lo]
+        b = s[lo + 1]
+        if g < 0.5:
+            return a + (b - a) * g
+        return b - (b - a) * (1.0 - g)
+
+    def clear(self) -> None:
+        self._fifo.clear()
+        self._sorted.clear()
 
 
 class HeartbeatWindow:

@@ -166,6 +166,12 @@ class FixedSpec(ReplaySpec):
     detector = "fixed"
     window: int = 2
 
+    def __post_init__(self) -> None:
+        # The window only sets the warm-up here (the detector is ready
+        # after two heartbeats), but a non-positive one is still an error.
+        if self.window < 1:
+            raise ConfigurationError(f"window must be >= 1, got {self.window!r}")
+
     @property
     def parameter(self) -> float:
         return self.timeout

@@ -44,6 +44,7 @@ from repro.core.feedback import (
 )
 from repro.detectors.ml import ML_JITTER_FLOOR, OnlineArrivalPredictor
 from repro.detectors.phi import SIGMA_FLOOR
+from repro.detectors.window import SortedWindow
 from repro.qos.spec import QoSRequirements, Satisfaction
 from repro.traces.trace import MonitorView
 
@@ -193,6 +194,8 @@ def phi_freshness(
     _require_view(view, 2)
     if threshold <= 0:
         raise ConfigurationError(f"threshold must be > 0, got {threshold!r}")
+    if window < 1:
+        raise ConfigurationError(f"window must be >= 1, got {window!r}")
     arrivals = view.arrivals
     n = arrivals.size
     fp = np.full(n, np.nan, dtype=np.float64)
@@ -218,36 +221,35 @@ def quantile_freshness(
     quantile: float,
     *,
     window: int = 1000,
-    chunk: int = 8192,
 ) -> np.ndarray:
     """Quantile-timeout FD freshness points (the [34-35] family).
 
     ``FP[r] = A_r + Quantile_q(trailing inter-arrivals)``.  Sliding
-    quantiles have no O(1) update, so this runs
-    :func:`numpy.lib.stride_tricks.sliding_window_view` +
-    ``np.quantile`` in row blocks of ``chunk`` to bound memory at
-    ``chunk × window`` floats — O(n·window) work, still far faster than
-    the streaming loop.
+    quantiles have no closed form to vectorize, so this runs the *same*
+    :class:`~repro.detectors.window.SortedWindow` the streaming
+    :class:`~repro.detectors.quantile.QuantileFD` uses over
+    ``np.diff(arrivals)`` — O(n·log window) search plus a C ``memmove``
+    per heartbeat, and bit-identical to the streaming detector (and to
+    ``np.quantile``) by construction.  Indices below ``window`` use the
+    partially filled window; index 0 is NaN.
     """
     _require_view(view, 2)
     if not (0.0 < quantile <= 1.0):
         raise ConfigurationError(f"quantile must lie in (0, 1], got {quantile!r}")
+    if window < 1:
+        raise ConfigurationError(f"window must be >= 1, got {window!r}")
     arrivals = view.arrivals
-    n = arrivals.size
-    fp = np.full(n, np.nan, dtype=np.float64)
-    x = np.diff(arrivals)
+    fp = np.full(arrivals.size, np.nan, dtype=np.float64)
     q = float(quantile)
-    # Partial windows for r < window: quantile over x[:r].
-    head = min(window, x.size)
-    for j in range(1, head):
-        fp[j] = arrivals[j] + float(np.quantile(x[:j], q))
-    if x.size >= window:
-        sw = np.lib.stride_tricks.sliding_window_view(x, window)
-        out = np.empty(sw.shape[0], dtype=np.float64)
-        for lo in range(0, sw.shape[0], chunk):
-            hi = min(lo + chunk, sw.shape[0])
-            out[lo:hi] = np.quantile(sw[lo:hi], q, axis=1)
-        fp[window:] = arrivals[window:] + out
+    samples = SortedWindow(window)
+    push = samples.push
+    quantile_of = samples.quantile
+    out = []
+    append = out.append
+    for gap in np.diff(arrivals).tolist():
+        push(gap)
+        append(quantile_of(q))
+    fp[1:] = arrivals[1:] + np.array(out, dtype=np.float64)
     return fp
 
 

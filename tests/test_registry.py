@@ -300,6 +300,50 @@ class TestSweepEquivalence:
         assert [p.parameter for p in curve.points] == list(fam.default_grid)
 
 
+# Spec params (besides ``window``) for the invalid-window harness, which
+# also iterates ``registry.names()``.
+WINDOW_CASES = {
+    "chen": {"alpha": 0.1},
+    "bertier": {},
+    "phi": {"threshold": 4.0},
+    "quantile": {"quantile": 0.99},
+    "fixed": {"timeout": 0.5},
+    "ml": {"margin": 2.0},
+    "sfd": {"requirements": REQ},
+}
+
+
+def window_case(name: str):
+    try:
+        return WINDOW_CASES[name]
+    except KeyError:
+        pytest.fail(
+            f"registered family {name!r} has no WINDOW_CASES entry; the "
+            "invalid-window harness must stay exhaustive"
+        )
+
+
+class TestInvalidWindow:
+    """A non-positive window is a configuration error on both planes —
+    never a numpy exception, a warning, or a NaN QoS report."""
+
+    def test_every_registered_family_has_a_case(self):
+        assert set(WINDOW_CASES) == set(registry.names())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("window", [0, -3])
+    @pytest.mark.parametrize("name", sorted(registry.names()))
+    def test_rejected_by_replay_and_make_detector(self, small_view, name, window):
+        params = window_case(name)
+        fam = registry.get(name)
+        # Rejected for its value, not as an unknown spec field.
+        assert "window" in {f.name for f in dataclasses.fields(fam.spec_cls)}
+        with pytest.raises(ConfigurationError, match="window"):
+            replay(fam.make_spec(**params, window=window), small_view)
+        with pytest.raises(ConfigurationError, match="window"):
+            registry.make_detector(fam.make_spec(**params, window=window))
+
+
 @dataclasses.dataclass(frozen=True, slots=True)
 class DoubleSpec(ReplaySpec):
     """Toy third-party spec: a fixed timeout applied at twice the value."""

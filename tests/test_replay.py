@@ -234,11 +234,14 @@ class TestQuantileEquivalence:
     @pytest.mark.parametrize("q", [0.5, 0.9, 0.999, 1.0])
     def test_matches_streaming(self, noisy_view, window, q):
         from repro.detectors import QuantileFD
-        from repro.replay import QuantileSpec, quantile_freshness
+        from repro.replay import quantile_freshness
 
+        # Both planes run one SortedWindow, so equality is exact.
         fps = stream_freshness(QuantileFD(q, window_size=window), noisy_view)
         fpv = quantile_freshness(noisy_view, q, window=window)
-        assert_fp_equal(fps, fpv)
+        warmed = ~np.isnan(fps)
+        assert warmed.any()
+        assert np.array_equal(fps[warmed], fpv[warmed])
 
     def test_engine_spec(self, noisy_view):
         from repro.replay import QuantileSpec
@@ -252,15 +255,6 @@ class TestQuantileEquivalence:
 
         with pytest.raises(ConfigurationError):
             quantile_freshness(noisy_view, 0.0)
-
-
-class TestQuantileChunking:
-    def test_chunk_boundaries_do_not_change_results(self, noisy_view):
-        from repro.replay import quantile_freshness
-
-        a = quantile_freshness(noisy_view, 0.95, window=40, chunk=16)
-        b = quantile_freshness(noisy_view, 0.95, window=40, chunk=10_000)
-        np.testing.assert_array_equal(a, b)
 
 
 class TestSFDSpecVariants:

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, NotWarmedUpError
-from repro.detectors.window import RECOMPUTE_EVERY, HeartbeatWindow, SampleWindow
+from repro.detectors.window import (
+    RECOMPUTE_EVERY,
+    HeartbeatWindow,
+    SampleWindow,
+    SortedWindow,
+)
 
 
 class TestSampleWindow:
@@ -69,6 +74,58 @@ class TestSampleWindow:
         for x in data:
             w.push(x)
         assert w.mean == pytest.approx(np.mean(data[-8:]))
+
+
+class TestSortedWindow:
+    def test_capacity_validation(self):
+        with pytest.raises(ConfigurationError):
+            SortedWindow(0)
+
+    def test_eviction_is_fifo_with_duplicates(self):
+        w = SortedWindow(3)
+        for x in (2.0, 1.0, 2.0):
+            assert w.push(x) is None
+        # Evictions follow arrival order, whatever the sorted position.
+        assert w.push(2.0) == 2.0  # live: 1, 2, 2
+        assert (w.quantile(0.0), w.quantile(1.0)) == (1.0, 2.0)
+        assert w.push(3.0) == 1.0  # live: 2, 2, 3
+        assert (w.quantile(0.0), w.quantile(0.5), w.quantile(1.0)) == (2.0, 2.0, 3.0)
+        assert w.push(0.5) == 2.0  # live: 2, 3, 0.5
+        assert w.push(0.5) == 2.0  # live: 3, 0.5, 0.5
+        assert len(w) == 3
+        assert (w.quantile(0.0), w.quantile(0.5), w.quantile(1.0)) == (0.5, 0.5, 3.0)
+
+    @pytest.mark.parametrize("q", [0.0, 1e-9, 0.3, 0.5, 0.75, 0.9, 0.999, 1.0])
+    def test_quantile_bitwise_equals_numpy(self, q):
+        rng = np.random.default_rng(3)
+        data = rng.choice([0.0, 0.1, 0.25, 1e-9, 7.0], size=200) + rng.random(200)
+        w = SortedWindow(17)
+        for i, x in enumerate(data):
+            w.push(x)
+            assert w.quantile(q) == np.quantile(data[max(0, i - 16) : i + 1], q)
+
+    def test_empty_quantile_raises(self):
+        with pytest.raises(NotWarmedUpError):
+            SortedWindow(4).quantile(0.5)
+
+    def test_clear(self):
+        w = SortedWindow(2)
+        w.push(5.0)
+        w.push(6.0)
+        w.clear()
+        assert len(w) == 0
+        with pytest.raises(NotWarmedUpError):
+            w.quantile(0.5)
+        assert w.push(1.0) is None  # nothing left to evict
+        assert w.quantile(1.0) == 1.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_nonfinite(self, bad):
+        w = SortedWindow(4)
+        w.push(1.0)
+        with pytest.raises(ConfigurationError):
+            w.push(bad)
+        assert len(w) == 1 and w.quantile(1.0) == 1.0
 
 
 class TestHeartbeatWindow:
