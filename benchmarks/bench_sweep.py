@@ -1,25 +1,33 @@
-"""Experiment-engine fan-out: serial vs process-pool sweep execution.
+"""Experiment-engine execution: prepare-once groups, fan-out, and cache.
 
-Section V's evaluation is embarrassingly parallel — every grid point is
-one independent replay — and ``repro.exp`` exploits that: the same
-:class:`~repro.exp.plan.ExperimentPlan` runs under
-:class:`~repro.exp.executors.SerialExecutor` and
+Section V's evaluation replays one trace through every detector family
+while each family's parameter moves from aggressive to conservative.
+:mod:`repro.exp` runs each such sweep as one *group* whose members share
+the kernel work the swept parameter never touches (Chen's expected
+arrivals, the sorted quantile window, …), and fans independent groups
+out across processes.  The same :class:`~repro.exp.plan.ExperimentPlan`
+runs under :class:`~repro.exp.executors.SerialExecutor` and
 :class:`~repro.exp.executors.ProcessPoolExecutor` with **bit-identical**
-curves.  This bench measures what the fan-out buys: wall time for a
-four-family WAN-1 sweep serially and across ``JOBS`` worker processes,
-archived as ``BENCH_sweep.json`` (serial_s / parallel_s / speedup).
+curves.  Archived as ``BENCH_sweep.json``:
 
-It also measures what the result cache (:mod:`repro.exp.cache`) buys:
-the same plan cold (every job replayed and stored) and then warm (every
-job a cache hit, zero replays) — ``cold_s`` / ``warm_s`` /
-``warm_speedup`` in the same JSON.  A warm run must be at least 5x
-faster than a cold one and bit-identical to it, on any machine.
+* ``serial_s`` — the single-trace plan (five sweeps over one WAN-1
+  trace: five groups) run serially: what prepare-once buys.
+* ``fanout_serial_s`` / ``parallel_s`` / ``speedup`` — the fan-out plan
+  (the same five sweeps over four seeded WAN-1 traces: twenty
+  independent groups, more than any worker count here) serially and
+  across ``min(JOBS, cores)`` workers.  A group is one task, so a plan
+  with fewer groups than workers — or one dominant group — cannot fan
+  out; that is why the fan-out is measured on a plan whose groups
+  outnumber the workers.
+* ``cold_s`` / ``warm_s`` / ``warm_speedup`` — the single-trace plan cold
+  (every job replayed and stored in the result cache) and then warm
+  (every job a cache hit, zero replays).  A warm run must be at least
+  5x faster than a cold one and bit-identical to it, on any machine.
 
-The pool has ``min(JOBS, cores)`` workers.  On a machine with >= 4
-cores the parallel run must be at least 2x faster; with 2-3 cores the
-speedup is recorded but not asserted; on a single core there is nothing
-to fan out onto, so ``speedup`` is recorded as ``null`` with the reason
-instead of a misleading ratio below 1.
+On a machine with >= 4 cores the parallel run must be at least 2x
+faster; with 2-3 cores the speedup is recorded but not asserted; on a
+single core there is nothing to fan out onto, so ``speedup`` is recorded
+as ``null`` with the reason instead of a misleading ratio below 1.
 """
 
 import os
@@ -39,100 +47,117 @@ from repro.traces import WAN_1, synthesize
 from _common import SEED, bench_stats, emit
 
 JOBS = 4
+#: Seeded WAN-1 traces in the fan-out plan.
+FANOUT_TRACES = 4
 
 REQ = QoSRequirements(
     max_detection_time=0.9, max_mistake_rate=0.35, min_query_accuracy=0.99
 )
 
 
-def build_plan() -> ExperimentPlan:
+def build_plan(traces: int = 1) -> ExperimentPlan:
+    """Five sweeps (24 grid points) over each of ``traces`` WAN-1 traces."""
     n = scaled_heartbeats(WAN_1, scale=16)
-    trace = synthesize(WAN_1, n=n, seed=SEED)
-    plan = ExperimentPlan().add_trace("wan1", trace)
-    plan.add_sweep(
-        "wan1", "chen", [0.005, 0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 0.9],
-        window=1000,
-    )
-    plan.add_sweep("wan1", "bertier", window=1000)
-    plan.add_sweep(
-        "wan1", "phi", [0.5, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0], window=1000
-    )
-    plan.add_sweep("wan1", "quantile", [0.9, 0.99, 0.999, 1.0], window=1000)
-    plan.add_sweep(
-        "wan1", "sfd", [0.005, 0.05, 0.2, 0.9], requirements=REQ, window=1000
-    )
+    plan = ExperimentPlan()
+    for k in range(traces):
+        name = f"wan1_{k}" if traces > 1 else "wan1"
+        plan.add_trace(name, synthesize(WAN_1, n=n, seed=SEED + k))
+        plan.add_sweep(
+            name, "chen", [0.005, 0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 0.9],
+            window=1000,
+        )
+        plan.add_sweep(name, "bertier", window=1000)
+        plan.add_sweep(
+            name, "phi", [0.5, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0], window=1000
+        )
+        plan.add_sweep(name, "quantile", [0.9, 0.99, 0.999, 1.0], window=1000)
+        plan.add_sweep(
+            name, "sfd", [0.005, 0.05, 0.2, 0.9], requirements=REQ, window=1000
+        )
     return plan
+
+
+def shape(plan: ExperimentPlan) -> dict:
+    return {
+        "traces": len(plan.views),
+        "groups": len(plan.sweeps),
+        "replay_jobs": len(plan),
+        "heartbeats_per_trace": len(next(iter(plan.views.values()))),
+    }
+
+
+def timed(plan: ExperimentPlan, executor, **kwargs):
+    t0 = time.perf_counter()
+    result = plan.run(executor, **kwargs)
+    return result, time.perf_counter() - t0
 
 
 def run():
     plan = build_plan()
-    t0 = time.perf_counter()
-    serial = plan.run(SerialExecutor())
-    serial_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    parallel = plan.run(ProcessPoolExecutor(jobs=min(JOBS, os.cpu_count() or 1)))
-    parallel_s = time.perf_counter() - t0
+    fanout = build_plan(FANOUT_TRACES)
+    workers = min(JOBS, os.cpu_count() or 1)
+    serial, serial_s = timed(plan, SerialExecutor())
+    fanout_serial, fanout_serial_s = timed(fanout, SerialExecutor())
+    parallel, parallel_s = timed(fanout, ProcessPoolExecutor(jobs=workers))
     with tempfile.TemporaryDirectory() as d:
         cache = SweepCache(d)
-        t0 = time.perf_counter()
-        cold = plan.run(SerialExecutor(), cache=cache)
-        cold_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        warm = plan.run(SerialExecutor(), cache=cache)
-        warm_s = time.perf_counter() - t0
+        cold, cold_s = timed(plan, SerialExecutor(), cache=cache)
+        warm, warm_s = timed(plan, SerialExecutor(), cache=cache)
     assert warm.cache.hits == len(plan) and warm.cache.misses == 0
-    return (
-        len(plan),
-        serial,
-        serial_s,
-        parallel,
-        parallel_s,
-        cold,
-        cold_s,
-        warm,
-        warm_s,
-    )
+    return {
+        "plan": plan,
+        "fanout": fanout,
+        "serial": serial,
+        "serial_s": serial_s,
+        "fanout_serial": fanout_serial,
+        "fanout_serial_s": fanout_serial_s,
+        "parallel": parallel,
+        "parallel_s": parallel_s,
+        "cold": cold,
+        "cold_s": cold_s,
+        "warm": warm,
+        "warm_s": warm_s,
+    }
 
 
 def test_parallel_sweep_speedup(benchmark):
-    (
-        n_jobs,
-        serial,
-        serial_s,
-        parallel,
-        parallel_s,
-        cold,
-        cold_s,
-        warm,
-        warm_s,
-    ) = benchmark.pedantic(run, rounds=1, iterations=1)
+    r = benchmark.pedantic(run, rounds=1, iterations=1)
+    serial, cold, warm = r["serial"], r["cold"], r["warm"]
     # The reproducibility contract: neither fan-out nor the cache may
     # change a single bit.
-    assert parallel.curves == serial.curves
+    assert r["parallel"].curves == r["fanout_serial"].curves
+    assert r["fanout_serial"].curves["wan1_0"] == serial.curves["wan1"]
     assert cold.curves == serial.curves
     assert warm.curves == cold.curves
-    warm_speedup = cold_s / warm_s
+    warm_speedup = r["cold_s"] / r["warm_s"]
     cores = os.cpu_count() or 1
     workers = min(JOBS, cores)
+    single, fanout = shape(r["plan"]), shape(r["fanout"])
     if cores < 2:
         speedup = None
         speedup_note = "not measured: one core leaves the pool nothing to fan out onto"
         speedup_line = f"  speedup   :      n/a    ({speedup_note})"
     else:
-        speedup = serial_s / parallel_s
+        speedup = r["fanout_serial_s"] / r["parallel_s"]
         speedup_note = None
         speedup_line = f"  speedup   : {speedup:8.2f} x"
     lines = [
-        "Experiment-engine fan-out: one WAN-1 plan, "
-        f"{n_jobs} replay jobs, {len(serial)} curves",
+        "Experiment-engine execution over WAN-1 "
+        f"({single['heartbeats_per_trace']} heartbeats per trace)",
         f"  cores     : {cores}",
-        f"  serial    : {serial_s:8.2f} s  (SerialExecutor)",
-        f"  parallel  : {parallel_s:8.2f} s  (ProcessPoolExecutor, "
+        f"  plan      : 1 trace, {single['groups']} sweep groups, "
+        f"{single['replay_jobs']} replay jobs",
+        f"  serial    : {r['serial_s']:8.2f} s  (SerialExecutor, one stage "
+        "per group)",
+        f"  fan-out   : {fanout['traces']} traces, {fanout['groups']} sweep "
+        f"groups, {fanout['replay_jobs']} replay jobs",
+        f"  serial    : {r['fanout_serial_s']:8.2f} s  (SerialExecutor)",
+        f"  parallel  : {r['parallel_s']:8.2f} s  (ProcessPoolExecutor, "
         f"{workers} workers)",
         speedup_line,
-        f"  cold      : {cold_s:8.2f} s  (cache populated, "
+        f"  cold      : {r['cold_s']:8.2f} s  (one trace, cache populated, "
         f"{cold.cache.misses} misses)",
-        f"  warm      : {warm_s:8.2f} s  (zero replays, "
+        f"  warm      : {r['warm_s']:8.2f} s  (zero replays, "
         f"{warm.cache.hits} hits)",
         f"  warm gain : {warm_speedup:8.2f} x",
         "  curves    : bit-identical",
@@ -141,16 +166,19 @@ def test_parallel_sweep_speedup(benchmark):
         "sweep",
         "\n".join(lines),
         {
-            "replay_jobs": n_jobs,
+            "plan": single,
+            "fanout_plan": fanout,
+            "replay_jobs": single["replay_jobs"],
             "curves": len(serial),
             "cores": cores,
             "workers": workers,
-            "serial_s": serial_s,
-            "parallel_s": parallel_s,
+            "serial_s": r["serial_s"],
+            "fanout_serial_s": r["fanout_serial_s"],
+            "parallel_s": r["parallel_s"],
             "speedup": speedup,
             "speedup_note": speedup_note,
-            "cold_s": cold_s,
-            "warm_s": warm_s,
+            "cold_s": r["cold_s"],
+            "warm_s": r["warm_s"],
             "warm_speedup": warm_speedup,
             "bit_identical": True,
             "timing": bench_stats(benchmark),

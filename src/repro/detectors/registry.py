@@ -17,6 +17,23 @@ binds together everything the rest of the library needs to host a family:
 * a spec-string parser (``"phi:threshold=4.0,window=10"``) for CLI flags
   and config files.
 
+Kernels may be *stage-aware*.  A sweep varies one parameter while the
+rest of the spec stays fixed, and most families spend nearly all their
+time on work that parameter never touches (Chen's expected arrivals,
+the NLMS predictor pass, the sorted quantile window).  A kernel that
+accepts ``prepared`` (a :class:`PreparedStage`) asks it for that work
+and gets the copy the first grid point of its sweep group computed::
+
+    def kernel(view, spec, prepared=None):
+        stage = staged(prepared, spec, lambda specs: expensive(view, spec.window))
+        return KernelRun(cheap(stage, spec.value))
+
+``staged`` builds the stage from ``(spec,)`` when no holder is given, so
+a single :func:`~repro.replay.engine.replay` runs the same code as a
+sweep.  Kernels written as ``kernel(view, spec)`` keep working: callers
+pass ``prepared`` only where the signature takes it
+(:func:`takes_keyword`).
+
 Consumers dispatch through :func:`get` / :func:`get_for_spec` instead of
 hard-coding families: the replay engine looks up the kernel, the sweep
 harness (:func:`repro.analysis.sweep.sweep_curve`) iterates the grid, the
@@ -36,6 +53,7 @@ acyclic.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
@@ -64,17 +82,24 @@ from repro.replay.engine import (
 )
 from repro.replay.vectorized import (
     bertier_freshness,
-    chen_freshness,
+    chen_evaluate,
+    chen_expected_arrivals,
     fixed_freshness,
-    ml_freshness,
-    phi_freshness,
-    quantile_freshness,
-    sfd_freshness,
+    ml_evaluate,
+    ml_prediction_arrays,
+    phi_evaluate,
+    phi_stage,
+    quantile_evaluate,
+    quantile_stage,
+    sfd_evaluate,
 )
 from repro.traces.trace import MonitorView
 
 __all__ = [
     "KernelRun",
+    "PreparedStage",
+    "staged",
+    "takes_keyword",
     "DetectorFamily",
     "register",
     "unregister",
@@ -103,6 +128,64 @@ class KernelRun:
     tuning: list[TuningRecord] = field(default_factory=list)
     final_margin: float | None = None
     status: TuningStatus | None = None
+
+
+_UNBUILT = object()
+
+
+class PreparedStage:
+    """Lazy holder of one sweep group's parameter-independent stage.
+
+    A sweep group is every grid point of one sweep over one trace: the
+    specs differ only in the swept parameter.  The first stage-aware
+    kernel call computes the stage with :meth:`stage`; every later member
+    of the group gets the cached object.  A stage is a deterministic
+    function of the view and the group's specs, so attempts that retry or
+    race on the same holder see equal values.  :meth:`release` drops the
+    stage once the group is done.
+    """
+
+    __slots__ = ("specs", "_stage")
+
+    def __init__(self, specs: Iterable[Any]):
+        self.specs = tuple(specs)
+        self._stage: Any = _UNBUILT
+
+    def stage(self, build: Callable[[tuple], Any]) -> Any:
+        """The cached stage, computed as ``build(self.specs)`` on first use."""
+        if self._stage is _UNBUILT:
+            self._stage = build(self.specs)
+        return self._stage
+
+    def release(self) -> None:
+        self._stage = _UNBUILT
+
+
+def staged(
+    prepared: PreparedStage | None, spec: Any, build: Callable[[tuple], Any]
+) -> Any:
+    """``build``'s stage through ``prepared``, or from ``(spec,)`` alone."""
+    if prepared is None:
+        return build((spec,))
+    return prepared.stage(build)
+
+
+def takes_keyword(fn: Callable, name: str) -> bool:
+    """Whether ``fn`` accepts keyword argument ``name`` (or ``**kwargs``).
+
+    Wrappers that set ``__wrapped__`` are judged by the function they wrap.
+    """
+    try:
+        params = inspect.signature(fn).parameters
+    except (TypeError, ValueError):  # pragma: no cover - builtins/C funcs
+        return False
+    param = params.get(name)
+    if param is not None:
+        return param.kind in (
+            inspect.Parameter.POSITIONAL_OR_KEYWORD,
+            inspect.Parameter.KEYWORD_ONLY,
+        )
+    return any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values())
 
 
 def _coerce_value(raw: str) -> Any:
@@ -144,7 +227,9 @@ class DetectorFamily:
         ``from_dict`` and a ``parameter`` property).
     kernel:
         ``kernel(view, spec) -> KernelRun``: the closed-form vectorized
-        freshness computation replay dispatches to.
+        freshness computation replay dispatches to.  A kernel that also
+        takes ``prepared=None`` shares its parameter-independent stage
+        across a sweep group (see :class:`PreparedStage`).
     default_grid:
         Default sweep values, aggressive → conservative (Section V).
     sweep_param:
@@ -251,12 +336,18 @@ class DetectorFamily:
 # --------------------------------------------------------------------- #
 
 
-def _chen_kernel(view: MonitorView, spec: ChenSpec) -> KernelRun:
-    return KernelRun(
-        chen_freshness(
-            view, spec.alpha, window=spec.window, nominal_interval=spec.nominal_interval
-        )
+def _chen_stage(view: MonitorView, spec) -> Callable[[tuple], np.ndarray]:
+    # Shared by chen and sfd: both add a margin to Chen's EA at `window`.
+    return lambda specs: chen_expected_arrivals(
+        view, spec.window, spec.nominal_interval
     )
+
+
+def _chen_kernel(
+    view: MonitorView, spec: ChenSpec, prepared: PreparedStage | None = None
+) -> KernelRun:
+    ea = staged(prepared, spec, _chen_stage(view, spec))
+    return KernelRun(chen_evaluate(ea, spec.alpha))
 
 
 def _bertier_kernel(view: MonitorView, spec: BertierSpec) -> KernelRun:
@@ -272,35 +363,54 @@ def _bertier_kernel(view: MonitorView, spec: BertierSpec) -> KernelRun:
     )
 
 
-def _phi_kernel(view: MonitorView, spec: PhiSpec) -> KernelRun:
-    return KernelRun(phi_freshness(view, spec.threshold, window=spec.window))
+def _phi_kernel(
+    view: MonitorView, spec: PhiSpec, prepared: PreparedStage | None = None
+) -> KernelRun:
+    stage = staged(prepared, spec, lambda specs: phi_stage(view, spec.window))
+    return KernelRun(phi_evaluate(stage, spec.threshold))
 
 
-def _quantile_kernel(view: MonitorView, spec: QuantileSpec) -> KernelRun:
-    return KernelRun(quantile_freshness(view, spec.quantile, window=spec.window))
+def _quantile_kernel(
+    view: MonitorView, spec: QuantileSpec, prepared: PreparedStage | None = None
+) -> KernelRun:
+    stage = staged(
+        prepared,
+        spec,
+        lambda specs: quantile_stage(
+            view, [s.quantile for s in specs], window=spec.window
+        ),
+    )
+    return KernelRun(quantile_evaluate(view, stage, spec.quantile))
 
 
 def _fixed_kernel(view: MonitorView, spec: FixedSpec) -> KernelRun:
     return KernelRun(fixed_freshness(view, spec.timeout))
 
 
-def _ml_kernel(view: MonitorView, spec: MLSpec) -> KernelRun:
-    return KernelRun(
-        ml_freshness(
-            view, spec.margin, lr=spec.lr, window=spec.window, decay=spec.decay
-        )
+def _ml_kernel(
+    view: MonitorView, spec: MLSpec, prepared: PreparedStage | None = None
+) -> KernelRun:
+    stage = staged(
+        prepared,
+        spec,
+        lambda specs: ml_prediction_arrays(
+            view, lr=spec.lr, window=spec.window, decay=spec.decay
+        ),
     )
+    return KernelRun(ml_evaluate(view, stage, spec.margin))
 
 
-def _sfd_kernel(view: MonitorView, spec: SFDSpec) -> KernelRun:
-    run = sfd_freshness(
+def _sfd_kernel(
+    view: MonitorView, spec: SFDSpec, prepared: PreparedStage | None = None
+) -> KernelRun:
+    run = sfd_evaluate(
         view,
+        staged(prepared, spec, _chen_stage(view, spec)),
         spec.requirements,
         sm1=spec.sm1,
         alpha=spec.alpha,
         beta=spec.beta,
         window=spec.window,
-        nominal_interval=spec.nominal_interval,
         slot=spec.slot,
         policy=spec.policy,
         sm_bounds=spec.sm_bounds,

@@ -68,8 +68,9 @@ class CacheStats:
     def total(self) -> int:
         return self.hits + self.misses
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.hits} hit(s), {self.misses} miss(es)"
+    def __str__(self) -> str:
+        text = f"{self.hits} hit(s), {self.misses} miss(es)"
+        return f"{text}, {self.invalid} invalid" if self.invalid else text
 
 
 class SweepCache:

@@ -35,7 +35,12 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.errors import ConfigurationError, ReproError
-from repro.exp.executors import ProcessPoolExecutor, SerialExecutor, _run_job
+from repro.exp.executors import (
+    ProcessPoolExecutor,
+    SerialExecutor,
+    _run_group,
+    _run_job,
+)
 from repro.exp.plan import ReplayJob
 
 __all__ = [
@@ -103,12 +108,16 @@ class ChaosSchedule:
         return None
 
 
-def chaos_worker(job: ReplayJob, attempt: int = 0, *, schedule: ChaosSchedule):
-    """Worker task wrapping :func:`~repro.exp.executors._run_job` in chaos.
+def chaos_worker(
+    job: ReplayJob, attempt: int = 0, prepared=None, *, schedule: ChaosSchedule
+):
+    """One job of a worker task, wrapped in chaos.
 
-    Same return contract — ``(index, qos, traceback)`` — so the pool
-    driver cannot tell it apart from the real worker body, except when a
-    ``"crash"`` fault hard-kills the hosting process.
+    Wraps :func:`~repro.exp.executors._run_job` with the same return
+    contract — ``(index, qos, traceback)`` — so the pool driver cannot
+    tell it apart from the real job body, except when a ``"crash"``
+    fault hard-kills the hosting process.  Within a group task each
+    member meets its own fate for its own ``(index, attempt)``.
     """
     fault = schedule.fate(job.index, attempt)
     if fault is not None:
@@ -123,7 +132,7 @@ def chaos_worker(job: ReplayJob, attempt: int = 0, *, schedule: ChaosSchedule):
                 )
             except ChaosInjectedError:
                 return job.index, None, traceback.format_exc()
-    return _run_job(job, attempt)
+    return _run_job(job, attempt, prepared)
 
 
 class FlakyExecutor(SerialExecutor):
@@ -149,7 +158,7 @@ class FlakyExecutor(SerialExecutor):
                 )
         return super().run(jobs, views, **kwargs)
 
-    def _call(self, job, view, instruments, attempt):
+    def _call(self, job, view, instruments, attempt, prepared=None):
         fault = self.schedule.fate(job.index, attempt)
         if fault is not None:
             if fault.kind == "timeout":
@@ -158,15 +167,15 @@ class FlakyExecutor(SerialExecutor):
                 raise ChaosInjectedError(
                     f"injected error: {job.describe()} attempt {attempt}"
                 )
-        return super()._call(job, view, instruments, attempt)
+        return super()._call(job, view, instruments, attempt, prepared)
 
 
 class FlakyProcessPoolExecutor(ProcessPoolExecutor):
     """Process-pool executor whose workers run under a chaos schedule.
 
-    The schedule travels inside the submitted task (a
-    :func:`functools.partial` over :func:`chaos_worker`), so worker
-    processes need no side-channel state.  Degrading to in-process
+    The schedule travels inside the submitted group task (a
+    :func:`functools.partial` running :func:`chaos_worker` per member),
+    so worker processes need no side-channel state.  Degrading to in-process
     serial execution is disabled: a ``"crash"`` fault must land in a
     disposable worker process even for single-job plans.
     """
@@ -176,7 +185,10 @@ class FlakyProcessPoolExecutor(ProcessPoolExecutor):
         self.schedule = schedule
 
     def _worker_task(self):
-        return functools.partial(chaos_worker, schedule=self.schedule)
+        return functools.partial(
+            _run_group,
+            run_job=functools.partial(chaos_worker, schedule=self.schedule),
+        )
 
     def _inline_ok(self) -> bool:
         return False

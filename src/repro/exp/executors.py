@@ -7,11 +7,18 @@ returns an :class:`~repro.exp.policy.ExecutionResult` — ``{job.index:
 QoSReport}`` for everything that completed, plus the
 :class:`~repro.exp.policy.JobFailure` records of anything quarantined.
 Completion order is irrelevant — the plan reassembles curves by index —
-so :class:`ProcessPoolExecutor` is free to fan jobs out across every
-core.  ``on_result(job, qos)`` streams each completed report home the
-moment it exists (the plan uses it to persist results into the
-:class:`~repro.exp.cache.SweepCache` *as they finish*, which is what
+so :class:`ProcessPoolExecutor` is free to fan work out across every
+core.  ``on_result(job, qos)`` streams each completed report home as
+soon as the driver holds it (the plan uses it to persist results into
+the :class:`~repro.exp.cache.SweepCache` *as they finish*, which is what
 makes a killed run resumable).
+
+The unit of execution is a *sweep group*: the pending jobs that share
+``(job.trace, job.sweep)``.  Their specs differ only in the swept
+parameter, so every member can reuse one
+:class:`~repro.detectors.registry.PreparedStage` — the kernel work that
+parameter never touches is done once per group, not once per point.
+Results, failures and cache entries stay per job.
 
 Process fan-out uses the ``fork`` start method where available (Linux,
 the benchmark environment): the view table travels to each worker as
@@ -27,20 +34,25 @@ on-disk bytes.  No parent-process state is mutated, so concurrent
 ``run`` calls from different threads are safe.
 
 Failure handling is driven by a declarative
-:class:`~repro.exp.policy.FailurePolicy`:
+:class:`~repro.exp.policy.FailurePolicy`, and stays per job inside a
+group:
 
-* a job that *raises* ships its traceback home and is retried with
-  jittered exponential backoff up to ``max_retries`` times;
+* a job that *raises* ships its traceback home and is retried (alone)
+  with jittered exponential backoff up to ``max_retries`` times;
 * a job past the per-job wall-clock ``timeout`` is *hung*: the serial
   executor abandons its worker thread (timeout-guarded attempts
   therefore run without per-replay instrumentation — an abandoned
   thread must not keep mutating shared metrics), the pool executor
   kills the worker processes, respawns the pool, and re-dispatches
   every innocent in-flight job at no attempt cost;
+* a pool group task that passes its deadline (``timeout`` × members) or
+  dies with its worker is *split*: its members go back to the queue as
+  single-job tasks at no attempt cost, and the rules above and below
+  then judge them one by one;
 * a *dead worker process* (``BrokenProcessPool``) marks every in-flight
-  job as a crash suspect and respawns the pool; a suspect that exhausts
-  its retries is re-run **alone** in a fresh pool before judgment, so a
-  job is only ever blamed for a crash it demonstrably causes
+  one-job task as a crash suspect and respawns the pool; a suspect that
+  exhausts its retries is re-run **alone** in a fresh pool before
+  judgment, so a job is only ever blamed for a crash it demonstrably causes
   (:class:`ExecutorBrokenError` carries that verified job) and innocent
   bystanders are never quarantined for sharing a pool with a poisoned
   job;
@@ -65,6 +77,7 @@ from concurrent import futures
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Mapping
 
+from repro.detectors.registry import PreparedStage, takes_keyword
 from repro.errors import ReproError
 from repro.exp.plan import ReplayJob
 from repro.exp.policy import ExecutionResult, FailurePolicy, JobFailure
@@ -144,10 +157,35 @@ def default_jobs() -> int:
 
 
 def _execute(
-    job: ReplayJob, view: MonitorView | TraceStore, instruments=None
+    job: ReplayJob,
+    view: MonitorView | TraceStore,
+    instruments=None,
+    prepared: PreparedStage | None = None,
 ) -> QoSReport:
     """The one shared job body — both executors produce identical numbers."""
-    return replay(job.spec, view, instruments=instruments).qos
+    return replay(job.spec, view, instruments=instruments, prepared=prepared).qos
+
+
+def _execute_shared(
+    job: ReplayJob, view, instruments, prepared: PreparedStage | None
+) -> QoSReport:
+    """Run :func:`_execute`, handing it the group's stage when it takes one.
+
+    The module attribute is looked up per call, so a substitute body with
+    the plain ``(job, view, instruments)`` signature still runs — it just
+    shares nothing.
+    """
+    if prepared is not None and takes_keyword(_execute, "prepared"):
+        return _execute(job, view, instruments, prepared=prepared)
+    return _execute(job, view, instruments)
+
+
+def _groups(jobs: list[ReplayJob]) -> dict[tuple[str, str], list[ReplayJob]]:
+    """Jobs per sweep group ``(trace, sweep)``, first-seen order throughout."""
+    groups: dict[tuple[str, str], list[ReplayJob]] = {}
+    for job in jobs:
+        groups.setdefault((job.trace, job.sweep), []).append(job)
+    return groups
 
 
 def _retry_hook(instruments, kind: str, job: ReplayJob) -> None:
@@ -206,8 +244,12 @@ class SerialExecutor:
 
     The reference executor: deterministic, and the only one that can
     thread a live :class:`repro.obs.Instruments` bundle through every
-    replay.  With no policy (or no ``timeout``) a job runs inline at
-    zero overhead; a per-job ``timeout`` moves attempts onto one
+    replay.  Each sweep group shares one
+    :class:`~repro.detectors.registry.PreparedStage`, released once the
+    group's last job succeeds or is given up; with jobs in plan order at
+    most one stage is alive at a time.  With no policy (or no
+    ``timeout``) a job runs inline at zero overhead; a per-job
+    ``timeout`` moves attempts onto one
     persistent worker thread (:class:`_TimeoutRunner`) so a hung replay
     can be abandoned — the thread is daemonic, it cannot be killed, only
     orphaned — and the run go on.  Because an abandoned thread is still
@@ -220,9 +262,18 @@ class SerialExecutor:
     def __init__(self, policy: FailurePolicy | None = None):
         self.policy = policy
 
-    # Chaos harnesses (repro.exp.chaos) override this one seam.
-    def _call(self, job: ReplayJob, view, instruments, attempt: int) -> QoSReport:
-        return _execute(job, view, instruments)
+    # Chaos harnesses (repro.exp.chaos) override this one seam.  An
+    # override without the ``prepared`` parameter still works: its jobs
+    # then run without a shared stage.
+    def _call(
+        self,
+        job: ReplayJob,
+        view,
+        instruments,
+        attempt: int,
+        prepared: PreparedStage | None = None,
+    ) -> QoSReport:
+        return _execute_shared(job, view, instruments, prepared)
 
     def run(
         self,
@@ -237,12 +288,24 @@ class SerialExecutor:
         reports: dict[int, QoSReport] = {}
         failures: list[JobFailure] = []
         runner: _TimeoutRunner | None = None
+        groups = _groups(jobs)
+        last = {members[-1].index for members in groups.values()}
+        holders: dict[tuple[str, str], PreparedStage] = {}
+        if takes_keyword(self._call, "prepared"):
+            holders = {
+                key: PreparedStage(j.spec for j in members)
+                for key, members in groups.items()
+            }
 
         def one_attempt(job: ReplayJob, attempt: int):
             nonlocal runner
+            shared = holders.get((job.trace, job.sweep))
+            kwargs = {} if shared is None else {"prepared": shared}
             if pol.timeout is None:
                 try:
-                    qos = self._call(job, views[job.trace], instruments, attempt)
+                    qos = self._call(
+                        job, views[job.trace], instruments, attempt, **kwargs
+                    )
                     return qos, None, None
                 except Exception:
                     return None, "error", traceback.format_exc()
@@ -250,9 +313,10 @@ class SerialExecutor:
                 runner = _TimeoutRunner()
             # instruments=None: on timeout the runner thread is abandoned
             # *mid-replay*; it must not keep mutating shared metrics
-            # concurrently with the jobs that follow.
+            # concurrently with the jobs that follow.  It may keep using
+            # the group's stage: a stage is a pure function of its inputs.
             qos, kind, tb = runner.attempt(
-                lambda: self._call(job, views[job.trace], None, attempt),
+                lambda: self._call(job, views[job.trace], None, attempt, **kwargs),
                 pol.timeout,
             )
             if kind == "timeout":
@@ -275,6 +339,10 @@ class SerialExecutor:
                 failure = JobFailure(
                     job=job, kind=kind, attempts=attempt + 1, traceback=tb
                 )
+            if job.index in last:
+                holder = holders.pop((job.trace, job.sweep), None)
+                if holder is not None:
+                    holder.release()
             if failure is not None:
                 if pol.fail_fast:
                     raise JobFailedError(
@@ -305,15 +373,37 @@ def _init_worker(views: Mapping[str, MonitorView | TraceStore]) -> None:
     _WORKER_VIEWS = views
 
 
-def _run_job(job: ReplayJob, attempt: int = 0):
-    """Worker body: never raises — failures travel home as tracebacks."""
+def _run_job(
+    job: ReplayJob, attempt: int = 0, prepared: PreparedStage | None = None
+):
+    """One job in a worker: never raises — failures travel home as tracebacks."""
     try:
         views = _WORKER_VIEWS
         if views is None:  # pragma: no cover - initializer always runs
             raise RuntimeError("worker started without a view table")
-        return job.index, _execute(job, views[job.trace]), None
+        return job.index, _execute_shared(job, views[job.trace], None, prepared), None
     except BaseException:
         return job.index, None, traceback.format_exc()
+
+
+def _run_group(
+    members: tuple[tuple[ReplayJob, int], ...], run_job: Callable = _run_job
+) -> list[tuple]:
+    """Worker task: the ``(job, attempt)`` members of one group, in order.
+
+    Members share one :class:`~repro.detectors.registry.PreparedStage`
+    and each returns its own ``(index, qos, traceback)``.  The task stops
+    at the first member that fails, so a fail-fast abort is not held up
+    by the rest of the group; the driver requeues the members it never
+    reached.
+    """
+    prepared = PreparedStage(job.spec for job, _attempt in members)
+    results = []
+    for job, attempt in members:
+        results.append(run_job(job, attempt, prepared))
+        if results[-1][2] is not None:
+            break
+    return results
 
 
 def _kill_pool(pool: futures.ProcessPoolExecutor) -> None:
@@ -337,7 +427,7 @@ def _kill_pool(pool: futures.ProcessPoolExecutor) -> None:
 
 
 class ProcessPoolExecutor:
-    """Fan jobs out across worker processes (one replay per worker task).
+    """Fan sweep groups out across worker processes (one group per task).
 
     Parameters
     ----------
@@ -354,9 +444,14 @@ class ProcessPoolExecutor:
     * Results are keyed by job index, so curves reassemble in sweep
       order no matter which worker finishes first — parallel output is
       bit-identical to :class:`SerialExecutor`.
-    * At most ``jobs`` futures are in flight at a time (refilled as they
-      complete), so a submitted job is *executing*, which is what makes
-      the per-job wall-clock timeout and crash attribution meaningful.
+    * Each task is one sweep group run on one shared stage (retries and
+      split members run as one-job tasks), and ``on_result`` fires when
+      its task comes home — the granularity at which a killed run
+      resumes.
+    * At most ``jobs`` tasks are in flight at a time (refilled as they
+      complete), so a submitted task is *executing*, which is what makes
+      the wall-clock deadline (``timeout`` × members) and crash
+      attribution meaningful.
     * ``instruments`` is not threaded into workers (per-process
       registries cannot be merged); the *driver-side* failure hooks
       (retries, timeouts, quarantines, pool respawns) do fire on it.
@@ -384,8 +479,9 @@ class ProcessPoolExecutor:
 
     # Chaos harnesses override these two seams.
     def _worker_task(self):
-        """The picklable callable submitted to the pool: ``task(job, attempt)``."""
-        return _run_job
+        """The picklable callable submitted to the pool:
+        ``task(((job, attempt), ...)) -> [(index, qos, traceback), ...]``."""
+        return _run_group
 
     def _inline_ok(self) -> bool:
         """Whether degrading to in-process serial execution is allowed."""
@@ -428,7 +524,11 @@ class ProcessPoolExecutor:
         by_index = {j.index: j for j in jobs}
         attempts: dict[int, int] = {j.index: 0 for j in jobs}  # failures so far
         not_before: dict[int, float] = {}
-        queue: deque[int] = deque(j.index for j in jobs)
+        # Tasks are tuples of job indices: one per sweep group to start
+        # with; retries and split members run as one-job tasks.
+        queue: deque[tuple[int, ...]] = deque(
+            tuple(j.index for j in members) for members in _groups(jobs).values()
+        )
         solo: deque[int] = deque()  # crash suspects awaiting isolated verification
         reports: dict[int, QoSReport] = {}
         failures: list[JobFailure] = []
@@ -461,7 +561,7 @@ class ProcessPoolExecutor:
                 not_before[index] = time.monotonic() + pol.delay(
                     index, attempts[index]
                 )
-                queue.append(index)
+                queue.append((index,))
             elif kind == "crash" and not verified:
                 # Exhausted, but the blame is circumstantial (the whole
                 # pool died).  Re-run alone before quarantining, so a job
@@ -470,16 +570,29 @@ class ProcessPoolExecutor:
             else:
                 give_up(failure)
 
-        def pop_ready(source: deque[int], now: float) -> int | None:
-            """Next index whose backoff has elapsed, preserving order."""
+        def charge(
+            source: deque, unit: tuple[int, ...], kind: str, verified: bool
+        ) -> None:
+            """Judge a task the pool lost: a group is split at no attempt
+            cost (which member was at fault is unknown); a lone job pays."""
+            if len(unit) > 1:
+                source.extendleft((i,) for i in reversed(unit))
+            else:
+                register_failure(unit[0], kind, None, verified=verified)
+
+        def ready_at(unit: tuple[int, ...]) -> float:
+            return max(not_before.get(i, 0.0) for i in unit)
+
+        def pop_ready(source: deque, now: float) -> tuple[int, ...] | None:
+            """Next task whose backoff has elapsed, preserving order."""
             for _ in range(len(source)):
-                index = source.popleft()
-                if not_before.get(index, 0.0) <= now:
-                    return index
-                source.append(index)
+                unit = source.popleft()
+                if ready_at(unit) <= now:
+                    return unit
+                source.append(unit)
             return None
 
-        def run_generation(source: deque[int], capacity: int, verified: bool) -> str:
+        def run_generation(source: deque, capacity: int, verified: bool) -> str:
             """One pool lifetime; the return value says how it ended.
 
             ``"drained"`` — the queue emptied; ``"timeout"``/``"crash"``
@@ -489,31 +602,32 @@ class ProcessPoolExecutor:
             is still running — forever, if an in-flight job is hung.
             """
             pool = self._make_pool(capacity, ctx, views)
-            inflight: dict[futures.Future, tuple[int, float]] = {}
+            inflight: dict[futures.Future, tuple[tuple[int, ...], float]] = {}
             killed = False
             try:
                 while source or inflight:
                     now = time.monotonic()
                     while len(inflight) < capacity and source:
-                        index = pop_ready(source, now)
-                        if index is None:
+                        unit = pop_ready(source, now)
+                        if unit is None:
                             break
                         try:
-                            fut = pool.submit(task, by_index[index], attempts[index])
+                            fut = pool.submit(
+                                task, tuple((by_index[i], attempts[i]) for i in unit)
+                            )
                         except BrokenProcessPool:
-                            # Broke between waits: the job being submitted
+                            # Broke between waits: the task being submitted
                             # never started — requeue it at no cost.
-                            source.appendleft(index)
+                            source.appendleft(unit)
                             raise
                         deadline = (
-                            now + pol.timeout if pol.timeout is not None else math.inf
+                            now + pol.timeout * len(unit)
+                            if pol.timeout is not None
+                            else math.inf
                         )
-                        inflight[fut] = (index, deadline)
+                        inflight[fut] = (unit, deadline)
                     if not inflight:
-                        pause = min(
-                            (not_before.get(i, 0.0) for i in source),
-                            default=now,
-                        )
+                        pause = min(map(ready_at, source), default=now)
                         time.sleep(max(0.0, min(pause - now, self._TICK)) or 0.001)
                         continue
                     done, _ = futures.wait(
@@ -523,63 +637,67 @@ class ProcessPoolExecutor:
                     )
                     crashed = False
                     for fut in done:
-                        index, _deadline = inflight.pop(fut)
+                        unit, _deadline = inflight.pop(fut)
                         try:
-                            _idx, qos, tb = fut.result()
+                            results = fut.result()
                         except BrokenProcessPool:
                             crashed = True
-                            register_failure(index, "crash", None, verified=verified)
+                            charge(source, unit, "crash", verified)
                             continue
-                        if tb is not None:
-                            register_failure(index, "error", tb, verified=verified)
-                        else:
-                            reports[index] = qos
-                            if on_result is not None:
-                                on_result(by_index[index], qos)
+                        for index, qos, tb in results:
+                            if tb is not None:
+                                register_failure(index, "error", tb, verified=verified)
+                            else:
+                                reports[index] = qos
+                                if on_result is not None:
+                                    on_result(by_index[index], qos)
+                        if len(results) < len(unit):
+                            # The group stopped at a failed member; the
+                            # members it never reached go back unchanged.
+                            source.appendleft(unit[len(results):])
                     if crashed:
                         raise BrokenProcessPool("worker process died")
                     if pol.timeout is not None:
                         now = time.monotonic()
                         hung = [
-                            (fut, index)
-                            for fut, (index, deadline) in inflight.items()
+                            (fut, unit)
+                            for fut, (unit, deadline) in inflight.items()
                             if now > deadline
                         ]
                         if hung:
-                            # Innocents go back at no attempt cost; the
-                            # hung job pays one.  Kill the pool *first* —
-                            # there is no way to stop a single running
-                            # future, and register_failure may raise
-                            # (fail-fast give_up), which must never reach
-                            # a shutdown that waits on the hung worker.
-                            for fut, index in hung:
+                            # Innocents go back at no attempt cost; a hung
+                            # job pays one, a hung group is split.  Kill
+                            # the pool *first* — there is no way to stop a
+                            # single running future, and register_failure
+                            # may raise (fail-fast give_up), which must
+                            # never reach a shutdown that waits on the hung
+                            # worker.
+                            for fut, _unit in hung:
                                 inflight.pop(fut)
-                            for index, _deadline in inflight.values():
-                                source.appendleft(index)
+                            for unit, _deadline in inflight.values():
+                                source.appendleft(unit)
                             inflight.clear()
                             killed = True
                             _kill_pool(pool)
                             if instruments is not None:
                                 instruments.on_pool_respawn("timeout")
-                            for _fut, index in hung:
-                                register_failure(
-                                    index, "timeout", None, verified=verified
-                                )
+                            for _fut, unit in hung:
+                                charge(source, unit, "timeout", verified)
                             return "timeout"
                 return "drained"
             except BrokenProcessPool:
-                # Every job still in flight is a suspect: the worker that
+                # Every task still in flight is a suspect: the worker that
                 # died does not say which task it held.  Kill the pool
                 # before judging the suspects — register_failure may
                 # raise under fail-fast.
                 killed = True
-                suspects = [index for index, _deadline in inflight.values()]
+                suspects = [unit for unit, _deadline in inflight.values()]
                 inflight.clear()
                 _kill_pool(pool)
                 if instruments is not None:
                     instruments.on_pool_respawn("crash")
-                for index in suspects:
-                    register_failure(index, "crash", None, verified=verified)
+                for unit in suspects:
+                    charge(source, unit, "crash", verified)
                 return "crash"
             except (JobFailedError, ExecutorBrokenError):
                 # A fail-fast abort from give_up inside the done-futures
@@ -602,17 +720,22 @@ class ProcessPoolExecutor:
                 )
             else:
                 # Isolated verification: one suspect, one fresh pool.
-                lone: deque[int] = deque([solo.popleft()])
+                lone: deque[tuple[int, ...]] = deque([(solo.popleft(),)])
                 ended = run_generation(lone, 1, verified=True)
                 queue.extend(lone)  # retries scheduled during the solo run
             if ended == "crash" and (len(reports), sum(attempts.values())) == before:
                 # The pool died before any job even *ran* (e.g. workers
                 # crash in the initializer, so every submit raises and
-                # requeues at no attempt cost).  Bounded: an environment
-                # that cannot spawn workers must not respawn forever.
+                # requeues at no attempt cost), or it took only groups
+                # down with it, which are split at no cost — the next
+                # generation charges their members.  Bounded: an
+                # environment that cannot spawn workers must not respawn
+                # forever.
                 barren += 1
                 if barren >= self._MAX_BARREN_RESPAWNS:
-                    pending = tuple(by_index[i] for i in [*queue, *solo])
+                    pending = tuple(
+                        by_index[i] for i in [*(i for u in queue for i in u), *solo]
+                    )
                     raise ExecutorBrokenError(
                         None,
                         suspects=pending,

@@ -3,8 +3,8 @@
 Section V's evaluation is one embarrassingly-parallel job: replay the same
 trace "from a highly aggressive behavior to a very conservative one"
 through every detector family under identical conditions.  The unit of
-work is therefore *one replay of one spec over one view*, and this module
-makes that unit explicit:
+*result* is therefore *one replay of one spec over one view*, and this
+module makes that unit explicit:
 
 * an :class:`ExperimentPlan` collects named traces and sweep declarations
   (family + grid + fixed parameters, exactly the vocabulary of
@@ -21,6 +21,11 @@ makes that unit explicit:
   completion order — which is what keeps figure outputs bit-identical
   between serial and parallel runs.
 
+The unit of *execution* is coarser: the built-in executors run the jobs
+of one sweep (same ``trace`` and ``sweep``) as a group that shares the
+kernel work its swept parameter never touches.  Nothing here changes for
+that — jobs, cache keys and results stay per point.
+
 The separation of detection logic from the execution/aggregation layer
 follows Dobre et al.'s architecture argument; the config-file front end
 lives in :mod:`repro.exp.config`.
@@ -28,12 +33,11 @@ lives in :mod:`repro.exp.config`.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence, Union
 
-from repro.detectors.registry import DetectorFamily, get as get_family
+from repro.detectors.registry import DetectorFamily, get as get_family, takes_keyword
 from repro.errors import ConfigurationError
 from repro.exp.archive import check_archive_name
 from repro.exp.policy import ExecutionResult, FailureReport
@@ -77,17 +81,10 @@ def _executor_kwargs(executor, **candidates) -> dict:
     ``run`` signature without ``policy``/``on_result`` simply never sees
     them.  ``**kwargs``-style signatures receive everything.
     """
-    try:
-        params = inspect.signature(executor.run).parameters
-    except (TypeError, ValueError):  # pragma: no cover - builtins/C funcs
-        return {}
-    catch_all = any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    )
     return {
         key: value
         for key, value in candidates.items()
-        if value is not None and (catch_all or key in params)
+        if value is not None and takes_keyword(executor.run, key)
     }
 
 
@@ -356,6 +353,7 @@ class ExperimentPlan:
         keys: dict[int, str] = {}
         fingerprints: dict[str, str] = {}
         stats = None
+        invalid_before = cache.invalid if cache is not None else 0
         if cache is not None:
             fingerprints = {
                 name: view.fingerprint() for name, view in self._views.items()
@@ -439,7 +437,7 @@ class ExperimentPlan:
             stats = CacheStats(
                 hits=len(mine) - len(misses),
                 misses=len(misses),
-                invalid=0,
+                invalid=cache.invalid - invalid_before,
             )
         quarantined = {f.job.index for f in failures}
         missing = [

@@ -327,7 +327,7 @@ ReplaySource = Union[MonitorView, HeartbeatTrace, TraceStore, str, Path]
 
 
 def replay(
-    spec: Spec, source: ReplaySource, *, instruments=None
+    spec: Spec, source: ReplaySource, *, instruments=None, prepared=None
 ) -> ReplayResult:
     """Run one detector spec over one trace source.
 
@@ -346,6 +346,13 @@ def replay(
     ``instruments`` (a :class:`repro.obs.Instruments` bundle) records the
     replay's throughput — heartbeats, wall seconds, heartbeats/second —
     and the resulting QoS per detector family.
+
+    ``prepared`` (a :class:`~repro.detectors.registry.PreparedStage`)
+    lets the grid points of one sweep group over ``source`` share the
+    kernel's parameter-independent stage; the executors pass one per
+    group.  Without it the kernel builds its stage for this spec alone —
+    the same prepare → evaluate code either way, so results are equal
+    bit for bit.  Kernels that take no ``prepared`` argument never see it.
     """
     # Lazy import: the registry sits above both the detectors and replay
     # layers, so importing it at module scope would be cyclic.
@@ -360,7 +367,10 @@ def replay(
             f"view has {len(view)} heartbeats; need more than {r0 + 1} "
             f"for window {spec.window}"
         )
-    run = family.kernel(view, spec)
+    if prepared is not None and registry.takes_keyword(family.kernel, "prepared"):
+        run = family.kernel(view, spec, prepared=prepared)
+    else:
+        run = family.kernel(view, spec)
     qos = _account(view, run.freshness, r0)
     if instruments is not None:
         instruments.record_replay(

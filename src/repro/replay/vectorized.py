@@ -22,11 +22,20 @@ Key identities used (derivations in the docstrings):
   conservative range").
 * SFD's margin changes only at slot boundaries, so its replay is a loop
   over ~(heartbeats/slot) slots with vectorized work inside each.
+
+Families whose sweep parameter enters late are split in two: a *stage*
+function computes the arrays that do not depend on the swept parameter
+(``chen_expected_arrivals``, ``phi_stage``, ``quantile_stage``,
+``ml_prediction_arrays``), and an ``*_evaluate`` function turns a stage
+into one grid point's freshness points.  The public ``*_freshness``
+functions are exactly that composition; the registry's kernels compose
+the same two steps through a stage shared by a whole sweep group.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,13 +59,20 @@ from repro.traces.trace import MonitorView
 
 __all__ = [
     "chen_expected_arrivals",
+    "chen_evaluate",
     "chen_freshness",
     "bertier_freshness",
+    "phi_stage",
+    "phi_evaluate",
     "phi_freshness",
+    "quantile_stage",
+    "quantile_evaluate",
     "quantile_freshness",
     "fixed_freshness",
     "ml_prediction_arrays",
+    "ml_evaluate",
     "ml_freshness",
+    "sfd_evaluate",
     "sfd_freshness",
     "SFDReplay",
 ]
@@ -125,9 +141,14 @@ def chen_freshness(
     nominal_interval: float | None = None,
 ) -> np.ndarray:
     """Chen FD freshness points: ``FP[r] = EA[r] + α`` (Eq. 3)."""
+    return chen_evaluate(chen_expected_arrivals(view, window, nominal_interval), alpha)
+
+
+def chen_evaluate(ea: np.ndarray, alpha: float) -> np.ndarray:
+    """Eq. (3) on a prepared :func:`chen_expected_arrivals` array."""
     if alpha < 0:
         raise ConfigurationError(f"alpha must be >= 0, got {alpha!r}")
-    return chen_expected_arrivals(view, window, nominal_interval) + float(alpha)
+    return ea + float(alpha)
 
 
 def bertier_freshness(
@@ -191,20 +212,15 @@ def phi_freshness(
     variance, like :class:`~repro.detectors.window.SampleWindow`).
     Returns all-``inf`` beyond the float64 threshold cutoff.
     """
+    return phi_evaluate(phi_stage(view, window), threshold)
+
+
+def phi_stage(view: MonitorView, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """The threshold-free part of φ: ``(A_r + μ_r, σ_r)`` for ``r >= 1``."""
     _require_view(view, 2)
-    if threshold <= 0:
-        raise ConfigurationError(f"threshold must be > 0, got {threshold!r}")
     if window < 1:
         raise ConfigurationError(f"window must be >= 1, got {window!r}")
     arrivals = view.arrivals
-    n = arrivals.size
-    fp = np.full(n, np.nan, dtype=np.float64)
-    p = 1.0 - 10.0 ** (-float(threshold))
-    if p >= 1.0:
-        # Paper-faithful conservative-range cutoff.
-        fp[1:] = np.inf
-        return fp
-    z = float(ndtri(p))
     x = np.diff(arrivals)  # x[j] = inter-arrival ending at heartbeat j+1
     sum_x, cnt = _trailing(x, window)
     sum_x2, _ = _trailing(x * x, window)
@@ -212,7 +228,23 @@ def phi_freshness(
     var = sum_x2 / cnt - mean * mean
     sigma = np.sqrt(np.maximum(var, 0.0))
     np.maximum(sigma, SIGMA_FLOOR, out=sigma)
-    fp[1:] = arrivals[1:] + mean + sigma * z
+    return arrivals[1:] + mean, sigma
+
+
+def phi_evaluate(
+    stage: tuple[np.ndarray, np.ndarray], threshold: float
+) -> np.ndarray:
+    """``FP[r] = (A_r + μ_r) + σ_r·z(Φ)`` on a prepared :func:`phi_stage`."""
+    if threshold <= 0:
+        raise ConfigurationError(f"threshold must be > 0, got {threshold!r}")
+    base, sigma = stage
+    fp = np.full(base.size + 1, np.nan, dtype=np.float64)
+    p = 1.0 - 10.0 ** (-float(threshold))
+    if p >= 1.0:
+        # Paper-faithful conservative-range cutoff.
+        fp[1:] = np.inf
+        return fp
+    fp[1:] = base + sigma * float(ndtri(p))
     return fp
 
 
@@ -233,23 +265,51 @@ def quantile_freshness(
     ``np.quantile``) by construction.  Indices below ``window`` use the
     partially filled window; index 0 is NaN.
     """
+    return quantile_evaluate(
+        view, quantile_stage(view, (quantile,), window=window), quantile
+    )
+
+
+def _quantile_ok(q: float) -> bool:
+    return 0.0 < q <= 1.0
+
+
+def quantile_stage(
+    view: MonitorView, quantiles, *, window: int
+) -> dict[float, np.ndarray]:
+    """Trailing-window inter-arrival quantiles for every ``q``, in one pass.
+
+    One :class:`~repro.detectors.window.SortedWindow` walks the gaps once
+    and records each distinct ``q`` after every push, so a sweep over k
+    quantiles pays for the sorted window once rather than k times.
+    Quantiles outside ``(0, 1]`` are skipped; :func:`quantile_evaluate`
+    rejects them, so one bad grid point fails alone.
+    """
     _require_view(view, 2)
-    if not (0.0 < quantile <= 1.0):
-        raise ConfigurationError(f"quantile must lie in (0, 1], got {quantile!r}")
     if window < 1:
         raise ConfigurationError(f"window must be >= 1, got {window!r}")
-    arrivals = view.arrivals
-    fp = np.full(arrivals.size, np.nan, dtype=np.float64)
-    q = float(quantile)
+    qs = sorted({float(q) for q in quantiles if _quantile_ok(q)})
+    columns = {q: array("d") for q in qs}
     samples = SortedWindow(window)
     push = samples.push
     quantile_of = samples.quantile
-    out = []
-    append = out.append
-    for gap in np.diff(arrivals).tolist():
+    appends = [(q, columns[q].append) for q in qs]
+    for gap in np.diff(view.arrivals).tolist():
         push(gap)
-        append(quantile_of(q))
-    fp[1:] = arrivals[1:] + np.array(out, dtype=np.float64)
+        for q, append in appends:
+            append(quantile_of(q))
+    return {q: np.frombuffer(col, dtype=np.float64) for q, col in columns.items()}
+
+
+def quantile_evaluate(
+    view: MonitorView, stage: dict[float, np.ndarray], quantile: float
+) -> np.ndarray:
+    """``FP[r] = A_r + Quantile_q`` on a prepared :func:`quantile_stage`."""
+    if not _quantile_ok(quantile):
+        raise ConfigurationError(f"quantile must lie in (0, 1], got {quantile!r}")
+    arrivals = view.arrivals
+    fp = np.full(arrivals.size, np.nan, dtype=np.float64)
+    fp[1:] = arrivals[1:] + stage[float(quantile)]
     return fp
 
 
@@ -285,8 +345,9 @@ def ml_prediction_arrays(
     — the learned recursion has no closed form to vectorize, exactly as
     SFD's feedback loop doesn't.  Index 0 is NaN (no gap yet).
 
-    The arrays are margin-independent: every freshness sweep of the
-    family reuses one pass (see
+    The arrays are margin-independent: they are the family's stage, and
+    every grid point of a sweep evaluates one shared pass
+    (:func:`ml_evaluate`; see also
     :class:`repro.analysis.fastsweep.MLSweeper`).
     """
     _require_view(view, 2)
@@ -319,9 +380,17 @@ def ml_freshness(
     ``deadline`` arithmetic operation for operation (same addends, same
     rounding), so the result is bit-identical to a streaming replay.
     """
+    stage = ml_prediction_arrays(view, lr=lr, window=window, decay=decay)
+    return ml_evaluate(view, stage, margin)
+
+
+def ml_evaluate(
+    view: MonitorView, stage: tuple[np.ndarray, np.ndarray], margin: float
+) -> np.ndarray:
+    """The ML deadline on a prepared :func:`ml_prediction_arrays` pair."""
     if margin < 0:
         raise ConfigurationError(f"margin must be >= 0, got {margin!r}")
-    pred, jit = ml_prediction_arrays(view, lr=lr, window=window, decay=decay)
+    pred, jit = stage
     return view.arrivals + (pred + float(margin) * (jit + ML_JITTER_FLOOR))
 
 
@@ -368,6 +437,38 @@ def sfd_freshness(
     *cumulative* measured QoS; detection-time samples use the sender
     timestamps carried by the trace.
     """
+    return sfd_evaluate(
+        view,
+        chen_expected_arrivals(view, window, nominal_interval),
+        requirements,
+        sm1=sm1,
+        alpha=alpha,
+        beta=beta,
+        window=window,
+        slot=slot,
+        policy=policy,
+        sm_bounds=sm_bounds,
+    )
+
+
+def sfd_evaluate(
+    view: MonitorView,
+    ea: np.ndarray,
+    requirements: QoSRequirements,
+    *,
+    sm1: float | None = None,
+    alpha: float = 0.1,
+    beta: float = 0.5,
+    window: int = 1000,
+    slot: SlotConfig | None = None,
+    policy: InfeasiblePolicy = InfeasiblePolicy.STOP,
+    sm_bounds: tuple[float, float] = (0.0, math.inf),
+) -> SFDReplay:
+    """SFD's per-slot feedback loop on a prepared Chen ``EA`` array.
+
+    ``ea`` is :func:`chen_expected_arrivals` at ``window`` — the part of
+    the replay that no margin decision feeds back into.
+    """
     slot = slot if slot is not None else SlotConfig()
     if sm1 is None:
         sm1 = alpha
@@ -379,7 +480,6 @@ def sfd_freshness(
     sends = view.send_times
     n = arrivals.size
     r0 = window - 1  # first index with a full window (streaming `ready`)
-    ea = chen_expected_arrivals(view, window, nominal_interval)
     base_td = ea - sends  # TD[r] = FP[r] − σ_r = (EA[r] − σ_r) + SM
     driver = FeedbackDriver(
         FeedbackController(requirements, alpha=alpha, beta=beta, policy=policy),

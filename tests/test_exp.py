@@ -21,11 +21,13 @@ from __future__ import annotations
 import json
 import math
 import pickle
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.detectors import registry
+from repro.detectors.window import SortedWindow
 from repro.errors import ConfigurationError
 from repro.exp import (
     CACHE_FORMAT,
@@ -500,16 +502,37 @@ class TestCache:
             entry.write_bytes(damage)
             result = plan.run(cache=SweepCache(cache.directory))
             assert result.cache.hits == 0 and result.cache.misses == 1
+            assert result.cache.invalid == 1
             # The miss re-executed and rewrote the entry: now it hits again.
-            assert plan.run(cache=SweepCache(cache.directory)).cache.hits == 1
+            again = plan.run(cache=SweepCache(cache.directory)).cache
+            assert again.hits == 1 and again.invalid == 0
 
     def test_truncated_entry_degrades_to_miss(self, small_view, tmp_path):
         cache = SweepCache(tmp_path / "cache")
         plan, entry = self._single_entry(small_view, cache)
         entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
         fresh = SweepCache(cache.directory)
-        assert plan.run(cache=fresh).cache.misses == 1
+        result = plan.run(cache=fresh)
+        assert result.cache.misses == 1
         assert fresh.invalid == 1
+        assert result.cache.invalid == 1
+
+    def test_run_reports_its_own_invalid_entries(self, small_view, tmp_path):
+        cache = SweepCache(tmp_path / "cache")
+        plan = ExperimentPlan().add_trace("t", small_view)
+        plan.add_sweep("t", "chen", (0.1, 0.2), window=100)
+        plan.run(cache=cache)
+        entry = sorted(cache.directory.glob("QOS_*.json"))[0]
+        entry.write_bytes(b"{ not json")
+        rerun = SweepCache(cache.directory)
+        stats = plan.run(cache=rerun).cache
+        assert (stats.hits, stats.misses, stats.invalid) == (1, 1, 1)
+        assert str(stats) == "1 hit(s), 1 miss(es), 1 invalid"
+        # Per run, not cumulative: the next run on the same cache object
+        # finds the rewritten entry and reports nothing invalid.
+        stats = plan.run(cache=rerun).cache
+        assert (stats.hits, stats.invalid) == (2, 0)
+        assert str(stats) == "2 hit(s), 0 miss(es)"
 
     def test_stale_format_version_degrades_to_miss(self, small_view, tmp_path):
         cache = SweepCache(tmp_path / "cache")
@@ -519,7 +542,8 @@ class TestCache:
         data["format"] = CACHE_FORMAT + 1
         entry.write_text(json.dumps(data))
         fresh = SweepCache(cache.directory)
-        assert plan.run(cache=fresh).cache.misses == 1
+        result = plan.run(cache=fresh)
+        assert result.cache.misses == 1 and result.cache.invalid == 1
         assert fresh.invalid == 1
         # …and the rewrite restores the current format.
         assert json.loads(entry.read_text())["format"] == CACHE_FORMAT
@@ -594,3 +618,90 @@ class TestCache:
         warm = plan.run(ProcessPoolExecutor(jobs=2), cache=cache)
         assert warm.cache.hits == 8
         assert warm.curves == cold.curves
+
+
+class TestPrepareOnce:
+    """Timing-free perf guard: a sweep group builds its stage once.
+
+    Counts the expensive stage builds — the NLMS predictor pass and the
+    sorted quantile window — and fails if sharing silently regresses to
+    one build per grid point.
+    """
+
+    @staticmethod
+    def plan(view) -> ExperimentPlan:
+        plan = ExperimentPlan().add_trace("t", view)
+        plan.add_sweep("t", "ml", (0.5, 1.0, 2.0, 4.0), window=16)
+        plan.add_sweep("t", "quantile", (0.5, 0.9, 0.99, 1.0), window=100)
+        return plan
+
+    @staticmethod
+    def count_builds(monkeypatch, log_path, stages):
+        """Log every build to ``log_path`` (worker processes append too)
+        and keep a weakref to every stage array built in this process."""
+
+        def log(kind):
+            with open(log_path, "a") as fh:
+                fh.write(kind + "\n")
+
+        real_ml = registry.ml_prediction_arrays
+        real_quantile = registry.quantile_stage
+        real_init = SortedWindow.__init__
+
+        def ml(*args, **kwargs):
+            log("ml")
+            out = real_ml(*args, **kwargs)
+            stages.extend(weakref.ref(a) for a in out)
+            return out
+
+        def quantile(*args, **kwargs):
+            out = real_quantile(*args, **kwargs)
+            stages.extend(weakref.ref(a) for a in out.values())
+            return out
+
+        def init(self, capacity):
+            log("window")
+            real_init(self, capacity)
+
+        monkeypatch.setattr(registry, "ml_prediction_arrays", ml)
+        monkeypatch.setattr(registry, "quantile_stage", quantile)
+        monkeypatch.setattr(SortedWindow, "__init__", init)
+
+    @staticmethod
+    def builds(log_path) -> list[str]:
+        return sorted(log_path.read_text().split()) if log_path.exists() else []
+
+    def test_serial_builds_one_stage_per_group(
+        self, small_view, tmp_path, monkeypatch
+    ):
+        log_path = tmp_path / "builds.log"
+        stages: list = []
+        self.count_builds(monkeypatch, log_path, stages)
+        result = self.plan(small_view).run(SerialExecutor())
+        assert self.builds(log_path) == ["ml", "window"]
+        assert len(stages) == 6  # (pred, jitter) + four quantile columns
+        # Released with the group: no stage outlives the run.
+        assert all(ref() is None for ref in stages)
+        assert not result.failures
+
+    def test_pool_builds_one_stage_per_group_task(
+        self, small_view, tmp_path, monkeypatch
+    ):
+        log_path = tmp_path / "builds.log"
+        self.count_builds(monkeypatch, log_path, [])
+        pooled = self.plan(small_view).run(ProcessPoolExecutor(jobs=2))
+        assert self.builds(log_path) == ["ml", "window"]
+        monkeypatch.undo()
+        assert pooled.curves == self.plan(small_view).run(SerialExecutor()).curves
+
+    def test_single_point_replays_share_nothing(
+        self, small_view, tmp_path, monkeypatch
+    ):
+        # The control: without a group, every point builds its own stage.
+        from repro.replay import replay
+
+        log_path = tmp_path / "builds.log"
+        self.count_builds(monkeypatch, log_path, [])
+        for job in self.plan(small_view).jobs():
+            replay(job.spec, small_view)
+        assert self.builds(log_path) == ["ml"] * 4 + ["window"] * 4

@@ -54,6 +54,14 @@ def tiny_plan(view, n: int = 6) -> ExperimentPlan:
     )
 
 
+def two_group_plan(view) -> ExperimentPlan:
+    """Two four-point sweeps (two group tasks): jobs 0-3 chen, 4-7 phi."""
+    plan = ExperimentPlan().add_trace("t", view)
+    plan.add_sweep("t", "chen", (0.05, 0.15, 0.25, 0.35), window=100)
+    plan.add_sweep("t", "phi", (1.0, 2.0, 4.0, 8.0), window=100)
+    return plan
+
+
 def curves_of(result):
     return {
         (trace, name): [(p.parameter, p.qos) for p in curve.points]
@@ -416,6 +424,90 @@ class TestPoolResilience:
         assert [f.attempts for f in serial.failures] == [
             f.attempts for f in pooled.failures
         ]
+
+
+class TestGroupTasks:
+    """Pool resilience when one task carries a whole sweep group."""
+
+    def assert_holes(self, result, clean, holes):
+        # Quarantined jobs are holes; every other point equals a clean run.
+        want = {
+            key: [pt for i, pt in enumerate(points) if (key[1], i) not in holes]
+            for key, points in curves_of(clean).items()
+        }
+        assert curves_of(result) == want
+
+    @pytest.mark.parametrize("fail_attempts", [1, None])
+    def test_error_on_middle_member_charges_only_that_job(
+        self, small_view, fail_attempts
+    ):
+        plan = tiny_plan(small_view, n=5)
+        clean = plan.run(SerialExecutor())
+        sched = ChaosSchedule({2: JobFault("error", fail_attempts=fail_attempts)})
+        ins = Instruments()
+        result = plan.run(
+            FlakyProcessPoolExecutor(sched, jobs=2),
+            policy=FailurePolicy(max_retries=1, mode="continue", **FAST),
+            instruments=ins,
+        )
+        # One retry, of the faulty job only; its siblings never re-ran.
+        assert ins.exp_retries.labels("error").get() == 1.0
+        if fail_attempts is None:
+            assert [(f.job.index, f.attempts) for f in result.failures] == [(2, 2)]
+            self.assert_holes(result, clean, {("chen", 2)})
+        else:
+            assert not result.failures
+            assert curves_of(result) == curves_of(clean)
+
+    def test_hung_member_splits_group_and_only_it_pays(self, small_view):
+        plan = tiny_plan(small_view, n=4)
+        clean = plan.run(SerialExecutor())
+        sched = ChaosSchedule({1: JobFault("timeout", fail_attempts=None, hang=30.0)})
+        ins = Instruments()
+        result = plan.run(
+            FlakyProcessPoolExecutor(sched, jobs=2),
+            policy=FailurePolicy(timeout=0.3, mode="continue", **FAST),
+            instruments=ins,
+        )
+        # No retry budget: any sibling charged for the group's overrun
+        # would be quarantined too.
+        assert [(f.job.index, f.kind, f.attempts) for f in result.failures] == [
+            (1, "timeout", 1)
+        ]
+        self.assert_holes(result, clean, {("chen", 1)})
+        assert ins.exp_respawns.labels("timeout").get() == 2.0  # group, then job
+
+    def test_crash_is_verified_alone_and_blamed_on_the_culprit(self, small_view):
+        plan = two_group_plan(small_view)
+        clean = plan.run(SerialExecutor())
+        sched = ChaosSchedule({5: JobFault("crash", fail_attempts=None)})
+        result = plan.run(
+            FlakyProcessPoolExecutor(sched, jobs=2),
+            policy=FailurePolicy(max_retries=1, mode="continue", **FAST),
+        )
+        assert [(f.job.index, f.kind) for f in result.failures] == [(5, "crash")]
+        self.assert_holes(result, clean, {("phi", 1)})
+
+    def test_chaos_storm_across_groups_quarantines_only_the_poisoned_job(
+        self, small_view
+    ):
+        plan = two_group_plan(small_view)
+        clean = plan.run(SerialExecutor())
+        sched = ChaosSchedule(
+            {
+                1: JobFault("crash", fail_attempts=1),
+                5: JobFault("timeout", fail_attempts=1, hang=30.0),
+                6: JobFault("error", fail_attempts=None),  # the poisoned one
+            }
+        )
+        result = plan.run(
+            FlakyProcessPoolExecutor(sched, jobs=2),
+            policy=FailurePolicy(
+                timeout=0.3, max_retries=1, mode="continue", **FAST
+            ),
+        )
+        assert [f.job.index for f in result.failures] == [6]
+        self.assert_holes(result, clean, {("phi", 2)})
 
 
 class TestResume:

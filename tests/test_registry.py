@@ -22,6 +22,12 @@ from repro.detectors.chen import ChenFD
 from repro.detectors.fixed import FixedTimeoutFD
 from repro.detectors.phi import PhiFD
 from repro.errors import ConfigurationError
+from repro.exp import (
+    ExperimentPlan,
+    FailurePolicy,
+    ProcessPoolExecutor,
+    SerialExecutor,
+)
 from repro.qos.spec import QoSRequirements
 from repro.replay import (
     BertierSpec,
@@ -286,6 +292,34 @@ class TestSweepEquivalence:
             spec = fam.grid_spec(float(value), **params)
             assert point.qos == replay(spec, small_view).qos
 
+    @pytest.mark.parametrize("executor", ["serial", "pool"])
+    @pytest.mark.parametrize("name", sorted(registry.names()))
+    def test_grouped_executors_equal_per_point_replays(
+        self, small_view, name, executor
+    ):
+        # A sweep runs as one group on one shared stage; each point must
+        # still equal its own stand-alone replay, on both executors.
+        grid, params = sweep_case(name)
+        fam = registry.get(name)
+        plan = ExperimentPlan().add_trace("t", small_view)
+        plan.add_sweep("t", name, grid, **params)
+        runner = SerialExecutor() if executor == "serial" else ProcessPoolExecutor(jobs=2)
+        curve = plan.run(runner).curve("t", name)
+        assert [p.qos for p in curve.points] == [
+            replay(fam.grid_spec(float(v), **params), small_view).qos for v in grid
+        ]
+
+    @pytest.mark.parametrize("name", sorted(registry.names()))
+    def test_shared_stage_equals_holderless_kernels(self, small_view, name):
+        grid, params = sweep_case(name)
+        fam = registry.get(name)
+        specs = [fam.grid_spec(float(v), **params) for v in grid]
+        holder = registry.PreparedStage(specs)
+        for spec in specs:
+            alone = replay(spec, small_view).freshness
+            shared = replay(spec, small_view, prepared=holder).freshness
+            assert np.array_equal(shared, alone, equal_nan=True)
+
     def test_single_point_families_ignore_the_grid_value(self, small_view):
         # Bertier has no sweep parameter: the grid value labels the point
         # but the spec is the same either way.
@@ -298,6 +332,35 @@ class TestSweepEquivalence:
         fam = registry.get("fixed")
         curve = sweep_curve("fixed", small_view)
         assert [p.parameter for p in curve.points] == list(fam.default_grid)
+
+
+# Grids with one invalid member (index 1): it must fail alone, never the
+# stage its siblings share.
+ISOLATION_CASES = {
+    "quantile": ((0.9, 1.5, 0.99), {"window": 100}),
+    "ml": ((0.5, -1.0, 2.0), {"window": 16}),
+    "phi": ((1.0, 0.0, 4.0), {"window": 100}),
+}
+
+
+class TestGroupIsolation:
+    @pytest.mark.parametrize("executor", ["serial", "pool"])
+    @pytest.mark.parametrize("name", sorted(ISOLATION_CASES))
+    def test_invalid_member_is_quarantined_alone(self, small_view, name, executor):
+        grid, params = ISOLATION_CASES[name]
+        plan = ExperimentPlan().add_trace("t", small_view)
+        plan.add_sweep("t", name, grid, **params)
+        runner = SerialExecutor() if executor == "serial" else ProcessPoolExecutor(jobs=2)
+        result = plan.run(runner, policy=FailurePolicy(mode="continue"))
+        assert [f.job.index for f in result.failures] == [1]
+        assert "ConfigurationError" in result.failures.failures[0].traceback
+        clean = ExperimentPlan().add_trace("t", small_view)
+        clean.add_sweep("t", name, grid[::2], **params)
+        got = result.curve("t", name).points
+        want = clean.run().curve("t", name).points
+        assert [(p.parameter, p.qos) for p in got] == [
+            (p.parameter, p.qos) for p in want
+        ]
 
 
 # Spec params (besides ``window``) for the invalid-window harness, which
