@@ -7,11 +7,12 @@ case.  Two scales are exercised:
 
 * a PlanetLab-sized DES scan (hundreds of nodes, one small-window
   detector each, lossy jittered links) judged against ground truth, and
-* a 10k-node live-plane ingest run through the sharded membership table:
+* a 10k-node live-plane ingest run through the membership table:
   batched heartbeats, a status query per batch, amortized cost per
   heartbeat, steady-state query latency at 1k vs 10k nodes, and a final
-  verdict-for-verdict comparison against the flat ``MembershipTable`` fed
-  the identical stream.
+  verdict-for-verdict comparison against a second table fed the
+  identical stream one ``heartbeat()`` at a time and classified node by
+  node with ``NodeState.status`` — the brute-force classification ladder.
 
 The live-plane run deliberately uses the constant-time fixed-timeout
 detector: the bound under test is the *plane* overhead (admission,
@@ -26,13 +27,7 @@ import time
 
 import numpy as np
 
-from repro.cluster import (
-    ClusterScan,
-    MembershipTable,
-    NodeSpec,
-    NodeStatus,
-    ShardedMembershipTable,
-)
+from repro.cluster import ClusterScan, MembershipTable, NodeSpec, NodeStatus
 from repro.detectors import FixedTimeoutFD, PhiFD
 
 from _common import emit
@@ -49,7 +44,6 @@ LIVE_BEATS = 20
 INTERVAL = 1.0
 TIMEOUT = 3.0
 CHUNK = 2048
-SHARDS = 32
 #: Wheel bucket width: a tenth of the heartbeat period bounds how long a
 #: lazily re-bucketed node can sit in an already-due bucket (each extra
 #: advance in that window re-pops it for a cheap re-arm).
@@ -105,14 +99,13 @@ def test_cluster_scan_scalability(benchmark):
 
 
 # --------------------------------------------------------------------- #
-# 10k-node live plane: batched ingest through the sharded table
+# 10k-node live plane: batched ingest through the membership table
 # --------------------------------------------------------------------- #
 
 
-def _sharded_table() -> ShardedMembershipTable:
-    return ShardedMembershipTable(
+def _table() -> MembershipTable:
+    return MembershipTable(
         lambda nid: FixedTimeoutFD(TIMEOUT),
-        shards=SHARDS,
         granularity=GRANULARITY,
         account_qos=False,
     )
@@ -149,7 +142,7 @@ def _live_stream(seed: int = 7):
 
 def _summary_latency_us(nodes: int) -> float:
     """Steady-state ``summary()`` latency of a table holding ``nodes``."""
-    table = _sharded_table()
+    table = _table()
     for beat in range(3):
         base = beat * INTERVAL
         table.heartbeat_batch(
@@ -169,10 +162,10 @@ def test_live_plane_10k(benchmark):
     warm = [hb for hb in stream if hb[1] < WARM_BEATS]
     rest = [hb for hb in stream if hb[1] >= WARM_BEATS]
     batches = [rest[i : i + CHUNK] for i in range(0, len(rest), CHUNK)]
-    tables: list[ShardedMembershipTable] = []
+    tables: list[MembershipTable] = []
 
     def fresh_warmed_table():
-        table = _sharded_table()
+        table = _table()
         for i in range(0, len(warm), CHUNK):
             table.heartbeat_batch(warm[i : i + CHUNK])
         table.summary(warm[-1][2])
@@ -198,23 +191,23 @@ def test_live_plane_10k(benchmark):
     q_large = _summary_latency_us(10_000)
     ratio = q_large / max(q_small, 1e-9)
 
-    # Verdict accuracy: identical to the flat table on the same stream.
+    # Verdict accuracy: the batch-fed table's snapshot equals a second
+    # table fed the same stream per heartbeat and classified node by node.
     end = INTERVAL * LIVE_BEATS + 0.5
-    flat = MembershipTable(
-        lambda nid: FixedTimeoutFD(TIMEOUT), account_qos=False
-    )
+    reference = _table()
     for node_id, seq, at, send in stream:
-        flat.heartbeat(node_id, seq, at, send)
-    sharded_statuses = table.statuses(end)
-    flat_statuses = flat.statuses(end)
-    statuses_match = sharded_statuses == flat_statuses
+        reference.heartbeat(node_id, seq, at, send)
+    statuses = table.statuses(end)
+    statuses_match = statuses == {
+        st.node_id: st.status(end) for st in reference.nodes()
+    }
     flagged = {
         nid
-        for nid, st in sharded_statuses.items()
+        for nid, st in statuses.items()
         if st is not NodeStatus.ACTIVE
     }
     counts = {s.value: 0 for s in NodeStatus}
-    for st in sharded_statuses.values():
+    for st in statuses.values():
         counts[st.value] += 1
 
     emit(
@@ -222,11 +215,11 @@ def test_live_plane_10k(benchmark):
         f"live plane sustained ingest: {LIVE_NODES} nodes, {heartbeats} "
         f"heartbeats in {wall:.2f}s ({per_hb_us:.2f} us/heartbeat amortized; "
         f"{len(warm)} warm-up heartbeats fed untimed, "
-        f"chunk={CHUNK}, shards={SHARDS}, wheel granularity={GRANULARITY})\n"
+        f"chunk={CHUNK}, wheel granularity={GRANULARITY})\n"
         f"summary() latency: {q_small:.1f} us @1k nodes vs "
         f"{q_large:.1f} us @10k nodes (ratio {ratio:.2f})\n"
         f"statuses at t={end}: { {k: v for k, v in counts.items() if v} }\n"
-        f"flat-table parity: {statuses_match}; "
+        f"per-heartbeat reference parity: {statuses_match}; "
         f"crashed detected {len(flagged & crashed)}/{len(crashed)}, "
         f"false suspects {len(flagged - crashed)}",
         data={
@@ -236,13 +229,12 @@ def test_live_plane_10k(benchmark):
             "wall_s": wall,
             "us_per_heartbeat": per_hb_us,
             "chunk": CHUNK,
-            "shards": SHARDS,
             "granularity_s": GRANULARITY,
             "summary_us_1k": q_small,
             "summary_us_10k": q_large,
             "summary_ratio": ratio,
             "statuses": counts,
-            "flat_parity": statuses_match,
+            "reference_parity": statuses_match,
             "crashed_truth": len(crashed),
             "crashed_detected": len(flagged & crashed),
             "false_suspects": len(flagged - crashed),

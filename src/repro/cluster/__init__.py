@@ -13,8 +13,7 @@ over several monitors (multiple-monitor-multiple), and a simulated
 PlanetLab-style status scan built on the DES.
 """
 
-from repro.cluster.membership import MembershipTable, NodeState, NodeStatus
-from repro.cluster.sharded import DeadlineWheel, ShardedMembershipTable
+from repro.cluster.membership import DeadlineWheel, MembershipTable, NodeState, NodeStatus
 from repro.cluster.multimonitor import MonitorGroup, QuorumVerdict
 from repro.cluster.scan import ClusterScan, NodeSpec, ScanReport
 from repro.cluster.hierarchy import GlobalMonitor, SiteDigest, SiteMonitor
@@ -24,7 +23,6 @@ __all__ = [
     "NodeState",
     "NodeStatus",
     "DeadlineWheel",
-    "ShardedMembershipTable",
     "MonitorGroup",
     "QuorumVerdict",
     "ClusterScan",

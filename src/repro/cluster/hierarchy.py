@@ -108,9 +108,7 @@ class GlobalMonitor:
 
     def site_status(self, site: str, now: float) -> NodeStatus:
         """The global tier's opinion of one site monitor."""
-        if site not in self._sites:
-            return NodeStatus.UNKNOWN
-        return self._sites.node(site).status(now)
+        return self._sites.status_of(site, now)
 
     def node_status(self, site: str, node_id: str, now: float) -> NodeStatus:
         """Merged opinion about one node (see module docstring)."""

@@ -50,15 +50,12 @@ class QuorumVerdict:
 class MonitorGroup:
     """A set of named monitors voting on node liveness.
 
-    When every member table supports ``advance`` (the sharded membership
-    table), verdicts are served from a per-node cache keyed by the
-    members' status epochs: one O(changed) ``advance`` per query brings
-    the snapshots current, the epoch key tells us whether any member's
+    Verdicts are served from a per-node cache keyed by the members'
+    status epochs: one O(changed) ``advance`` per query brings the
+    snapshots current, the epoch key tells us whether any member's
     opinion moved, and only moved nodes are re-aggregated.  Transition
     callbacks feed a dirty set so :meth:`crashed_nodes` re-judges exactly
     the nodes that changed instead of rescanning monitors × nodes.
-    Groups containing a flat table fall back to the uncached per-node
-    classification path.
 
     Parameters
     ----------
@@ -79,12 +76,12 @@ class MonitorGroup:
         self._verdicts: dict[str, tuple[tuple, QuorumVerdict]] = {}
         #: Nodes whose status moved since crashed_nodes() last judged them.
         self._dirty: set[str] = set()
-        #: Incrementally maintained crash roster (cached mode only).
+        #: Incrementally maintained crash roster.
         self._crashed: set[str] = set()
-        #: Per-table node counts at the last sync; a shape change means
+        #: Per-table roster epochs at the last sync; a change means
         #: registrations/expiries happened without transitions, which the
         #: dirty set cannot see — rebuild the roster from scratch.
-        self._shape: tuple[int, ...] | None = None
+        self._rosters: tuple[int, ...] | None = None
         self._roster_stale = True
 
     def add_monitor(self, name: str, table: MembershipTable) -> None:
@@ -109,20 +106,16 @@ class MonitorGroup:
             return self._quorum
         return observing // 2 + 1  # strict majority of opinions
 
-    def _sync(self, now: float) -> bool:
-        """Bring every member snapshot current; True when the epoch cache
-        is usable (all members maintain snapshots via ``advance``)."""
+    def _sync(self, now: float) -> None:
+        """Bring every member snapshot current."""
         tables = self._monitors.values()
-        if not all(hasattr(t, "advance") for t in tables):
-            return False
         for t in tables:
             t.advance(now)
-        shape = tuple(len(t) for t in tables)
-        if shape != self._shape:
-            self._shape = shape
+        rosters = tuple(t.roster_epoch for t in tables)
+        if rosters != self._rosters:
+            self._rosters = rosters
             self._roster_stale = True
             self._verdicts.clear()  # drop entries for expired nodes
-        return True
 
     def _aggregate(
         self, node_id: str, statuses: dict[str, NodeStatus]
@@ -160,13 +153,8 @@ class MonitorGroup:
 
     def verdict(self, node_id: str, now: float) -> QuorumVerdict:
         """Aggregate the group's opinion about ``node_id`` at ``now``."""
-        if self._sync(now):
-            return self._cached_verdict(node_id)
-        statuses: dict[str, NodeStatus] = {}
-        for name, table in self._monitors.items():
-            if node_id in table:
-                statuses[name] = table.node(node_id).status(now)
-        return self._aggregate(node_id, statuses)
+        self._sync(now)
+        return self._cached_verdict(node_id)
 
     def all_nodes(self) -> set[str]:
         """Union of node ids across all member monitors."""
@@ -178,16 +166,13 @@ class MonitorGroup:
     def crashed_nodes(self, now: float) -> list[str]:
         """Nodes the group currently declares crashed (sorted).
 
-        In cached mode the roster is maintained incrementally: only nodes
-        dirtied by member transitions since the previous call (or all
-        nodes, after a membership change) are re-judged.
+        The roster is maintained incrementally: only nodes dirtied by
+        member transitions since the previous call (or all nodes, after a
+        membership change) are re-judged.
         """
-        if not self._sync(now):
-            return sorted(
-                nid for nid in self.all_nodes() if self.verdict(nid, now).crashed
-            )
+        self._sync(now)
         if self._roster_stale:
-            # First cached query, or members registered/expired nodes:
+            # First query, or members registered/expired nodes:
             # rebuild the roster, then go incremental.
             self._roster_stale = False
             todo = self.all_nodes()

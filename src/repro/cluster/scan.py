@@ -18,8 +18,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.detectors.base import FailureDetector
-from repro.cluster.membership import NodeStatus
-from repro.cluster.sharded import ShardedMembershipTable
+from repro.cluster.membership import MembershipTable, NodeStatus
 from repro.net.delay import LogNormalDelay
 from repro.net.loss import BernoulliLoss, NoLoss
 from repro.sim.crash import CrashPlan
@@ -129,7 +128,7 @@ class ClusterScan:
         self.nodes = list(nodes)
         self.seed = seed
         self.sim = Simulator()
-        self.table = ShardedMembershipTable(detector_factory, auto_register=True)
+        self.table = MembershipTable(detector_factory, auto_register=True)
         root = np.random.SeedSequence(seed)
         for spec, child in zip(self.nodes, root.spawn(len(self.nodes))):
             rng = np.random.default_rng(child)

@@ -32,8 +32,7 @@ from typing import Any, Callable, Hashable
 
 from repro.errors import ConfigurationError
 from repro.detectors.base import FailureDetector
-from repro.cluster.membership import NodeStatus
-from repro.cluster.sharded import ShardedMembershipTable
+from repro.cluster.membership import MembershipTable, NodeStatus
 from repro.sim.crash import CrashPlan
 from repro.sim.engine import Simulator
 
@@ -144,14 +143,13 @@ class ConsensusProcess:
         self.rounds_started = 1
         # Coordinator state per round.
         self._ballots: dict[int, Ballot] = {}
-        # Per-peer failure detectors, hosted in a sharded membership table
-        # so coordinator consultation reads a maintained status snapshot
+        # Per-peer failure detectors, hosted in a membership table so
+        # coordinator consultation reads a maintained status snapshot
         # (reorder/restart handling comes with it for free).  Peers are
         # keyed by their stringified pid.
-        self.membership = ShardedMembershipTable(
+        self.membership = MembershipTable(
             lambda peer_id: detector_factory(int(peer_id)),
             auto_register=False,
-            shards=1,
         )
         for p in range(n):
             if p != pid:

@@ -83,9 +83,9 @@ class FailureDetector(abc.ABC):
 
         The inverse of the suspicion curve for the *current* detector state
         (no heartbeat between now and the returned instant).  Hosts that
-        maintain status snapshots incrementally (the sharded membership
-        table's deadline wheel) use this to schedule the next re-check
-        instead of polling every node on every query; they re-evaluate
+        maintain status snapshots incrementally (the membership table's
+        deadline wheel) use this to schedule the next re-check instead
+        of polling every node on every query; they re-evaluate
         :meth:`suspicion` exactly at the returned time, so the answer is a
         scheduling hint, not a verdict — but it must never be *later* than
         the true crossing, or a scheduled host would miss a transition.

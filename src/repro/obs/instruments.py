@@ -119,7 +119,7 @@ class Instruments:
         )
         self.advance_sweeps = r.counter(
             "repro_membership_advance_total",
-            "advance() sweeps of the sharded membership deadline wheel",
+            "advance() sweeps of the membership deadline wheel",
         )
         self.advance_popped = r.counter(
             "repro_membership_advance_popped_total",
@@ -595,10 +595,10 @@ class Instruments:
         Refreshes the status/suspicion/safety-margin gauges from live
         detector state — the cost lands on the scraper, not on the
         heartbeat path.  Status classification goes through the table's
-        snapshot path (``statuses`` — an O(changed) deadline-wheel sweep
-        on the sharded table), so TRUSTED↔SUSPECTED transitions are
-        detected (and counted) on every scrape even if nobody else
-        queries, and per-node detector reads are *epoch-gated*: the
+        snapshot path (``statuses`` — an O(changed) deadline-wheel
+        sweep), so TRUSTED↔SUSPECTED transitions are detected (and
+        counted) on every scrape even if nobody else queries, and
+        per-node detector reads are *epoch-gated*: the
         expensive gauges (suspicion level, SFD margin) are recomputed
         only for nodes whose status changed since the previous scrape,
         so a dashboard scrape cannot perturb hot-path timing at 10k

@@ -23,8 +23,7 @@ import time
 from typing import TYPE_CHECKING, Callable
 
 from repro.detectors.base import FailureDetector
-from repro.cluster.membership import NodeStatus
-from repro.cluster.sharded import ShardedMembershipTable
+from repro.cluster.membership import MembershipTable, NodeStatus
 from repro.qos.spec import QoSReport
 from repro.runtime.udp import UDPHeartbeatListener
 
@@ -47,10 +46,6 @@ class LiveMonitor:
         Local UDP address; port 0 picks a free port.
     clock:
         Arrival clock shared with status queries (monotonic by default).
-    shards:
-        Partition count of the backing
-        :class:`~repro.cluster.sharded.ShardedMembershipTable` — the live
-        plane always runs sharded so status queries stay O(changed).
     instruments:
         Optional :class:`repro.obs.Instruments` bundle; when given, the
         listener, table, and detectors all report into it and its
@@ -73,7 +68,6 @@ class LiveMonitor:
         bind: tuple[str, int] = ("127.0.0.1", 0),
         clock: Callable[[], float] = time.monotonic,
         account_qos: bool = False,
-        shards: int = 16,
         instruments: "Instruments | None" = None,
     ):
         self.clock = clock
@@ -85,11 +79,10 @@ class LiveMonitor:
             detector_factory = registry.as_factory(detector_factory)
         if instruments is not None:
             detector_factory = instruments.wrap_detector_factory(detector_factory)
-        self.table = ShardedMembershipTable(
+        self.table = MembershipTable(
             detector_factory,
             auto_register=True,
             account_qos=account_qos,
-            shards=shards,
             on_transition=instruments.on_transition if instruments else None,
             on_restart=instruments.on_restart if instruments else None,
             on_stale=instruments.on_stale if instruments else None,
@@ -118,12 +111,6 @@ class LiveMonitor:
                     node_id, seq, send_time, arrival, detector=state.detector
                 )
         self.received += len(batch)
-
-    def _on_heartbeat(
-        self, node_id: str, seq: int, send_time: float, arrival: float
-    ) -> None:
-        """Single-datagram compatibility entry point (tests, embedders)."""
-        self._on_batch([(node_id, seq, arrival, send_time)])
 
     async def start(self) -> None:
         await self._listener.start()

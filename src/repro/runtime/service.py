@@ -157,7 +157,7 @@ class FailureDetectionService:
         return PeerStatus(
             node_id=node_id,
             # Through the table, not state.status(): the classification
-            # choke point keeps the sharded snapshot/epoch consistent and
+            # choke point keeps the table's snapshot/epoch consistent and
             # surfaces the transition edge to observers.
             status=self.monitor.table.status_of(node_id, now),
             suspicion=level,

@@ -1,6 +1,6 @@
 """UDP heartbeat wire protocol and asyncio endpoints.
 
-Wire format (network byte order, 28 bytes)::
+Wire format (network byte order, 32 bytes)::
 
     !16s Q d   =  node id (16 bytes, NUL-padded ASCII)
                   sequence number (uint64)
@@ -225,17 +225,12 @@ class UDPHeartbeatListener:
 
     Parameters
     ----------
-    on_heartbeat:
-        Compatibility callback ``(node_id, seq, sender_stamp,
-        local_arrival)`` invoked per valid datagram, on the event loop
-        thread.  Internally a shim over the batch path; exceptions are
-        counted per datagram in :attr:`callback_errors`, as before.
     on_batch:
         Batch callback ``(list[(node_id, seq, arrival, sender_stamp)])``
-        invoked once per socket drain with at least one valid heartbeat —
-        tuple order matches the membership ``heartbeat`` signature.
-        Exactly one of ``on_heartbeat`` / ``on_batch`` must be given.
-        Exceptions are counted once per batch.
+        invoked on the event loop thread once per socket drain with at
+        least one valid heartbeat — tuple order matches the membership
+        ``heartbeat`` signature.  An exception is counted once per drain
+        in :attr:`callback_errors` and never stops later drains.
     bind:
         Local ``(host, port)``; port 0 picks a free port (see
         :attr:`address` after :meth:`start`).
@@ -254,10 +249,8 @@ class UDPHeartbeatListener:
 
     def __init__(
         self,
-        on_heartbeat: Callable[[str, int, float, float], None] | None = None,
+        on_batch: Callable[[list[tuple[str, int, float, float]]], None],
         *,
-        on_batch: Callable[[list[tuple[str, int, float, float]]], None]
-        | None = None,
         bind: tuple[str, int] = ("127.0.0.1", 0),
         clock: Callable[[], float] = time.monotonic,
         malformed_limit: int = 100,
@@ -272,12 +265,7 @@ class UDPHeartbeatListener:
             raise ConfigurationError(
                 f"max_batch must be >= 1, got {max_batch!r}"
             )
-        if (on_heartbeat is None) == (on_batch is None):
-            raise ConfigurationError(
-                "exactly one of on_heartbeat / on_batch must be provided"
-            )
-        self._on_heartbeat = on_heartbeat
-        self._on_batch = on_batch if on_batch is not None else self._dispatch_each
+        self._on_batch = on_batch
         self._bind = bind
         self._clock = clock
         self._malformed_limit = int(malformed_limit)
@@ -309,19 +297,6 @@ class UDPHeartbeatListener:
         self._sock = sock
         self._loop = loop
         loop.add_reader(sock.fileno(), self._drain)
-
-    def _dispatch_each(self, batch: list[tuple[str, int, float, float]]) -> None:
-        """Per-datagram compatibility shim over the batch path."""
-        on_heartbeat = self._on_heartbeat
-        assert on_heartbeat is not None
-        for node_id, seq, arrival, send_time in batch:
-            try:
-                on_heartbeat(node_id, seq, send_time, arrival)
-            except Exception:
-                # A faulty consumer must not tear down the ingest path.
-                self.callback_errors += 1
-                if self._instruments is not None:
-                    self._instruments.on_callback_error()
 
     def _note_malformed_bulk(self, count: int, now: float) -> None:
         # Token-bucket on a 1-second window: a garbage flood must not be
@@ -373,6 +348,7 @@ class UDPHeartbeatListener:
             try:
                 self._on_batch(batch)
             except Exception:
+                # A faulty consumer must not tear down the ingest path.
                 self.callback_errors += 1
                 if self._instruments is not None:
                     self._instruments.on_callback_error()

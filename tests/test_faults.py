@@ -40,7 +40,9 @@ class TestFaultPlan:
 
 async def _listener_with_sink():
     got: list[tuple[str, int]] = []
-    listener = UDPHeartbeatListener(lambda nid, seq, st, arr: got.append((nid, seq)))
+    listener = UDPHeartbeatListener(
+        lambda batch: got.extend((nid, seq) for nid, seq, _, _ in batch)
+    )
     await listener.start()
     return listener, got
 

@@ -49,7 +49,7 @@ def feed(monitor: LiveMonitor, node: str, n: int, *, interval: float = 1.0,
     arrival = start
     for i in range(n):
         arrival = start + i * interval
-        monitor._on_heartbeat(node, i, wall_offset + i * interval, arrival)
+        monitor._on_batch([(node, i, arrival, wall_offset + i * interval)])
     return arrival
 
 

@@ -59,7 +59,7 @@ class TestEndpoints:
         async def main():
             got = []
             listener = UDPHeartbeatListener(
-                lambda nid, seq, st, arr: got.append((nid, seq))
+                lambda batch: got.extend((nid, seq) for nid, seq, _, _ in batch)
             )
             await listener.start()
             sender = UDPHeartbeatSender("peer", listener.address, interval=0.01)
@@ -78,7 +78,7 @@ class TestEndpoints:
 
     def test_listener_rejects_malformed(self, run):
         async def main():
-            listener = UDPHeartbeatListener(lambda *a: None)
+            listener = UDPHeartbeatListener(lambda batch: None)
             await listener.start()
             loop = asyncio.get_running_loop()
             transport, _ = await loop.create_datagram_endpoint(
@@ -94,7 +94,7 @@ class TestEndpoints:
         assert run(main()) == 1
 
     def test_listener_address_requires_start(self):
-        listener = UDPHeartbeatListener(lambda *a: None)
+        listener = UDPHeartbeatListener(lambda batch: None)
         with pytest.raises(ConfigurationError):
             _ = listener.address
 
@@ -247,7 +247,7 @@ class TestSenderHardening:
         *after* each send would lose one period's worth of overhead drift."""
 
         async def main():
-            listener = UDPHeartbeatListener(lambda *a: None)
+            listener = UDPHeartbeatListener(lambda batch: None)
             await listener.start()
             sender = UDPHeartbeatSender("p", listener.address, interval=0.02)
             await sender.start()
@@ -262,7 +262,9 @@ class TestSenderHardening:
     def test_sender_survives_transport_closed_underneath(self, run):
         async def main():
             got = []
-            listener = UDPHeartbeatListener(lambda nid, seq, st, arr: got.append(seq))
+            listener = UDPHeartbeatListener(
+                lambda batch: got.extend(seq for _, seq, _, _ in batch)
+            )
             await listener.start()
             sender = UDPHeartbeatSender("p", listener.address, interval=0.02)
             await sender.start()
@@ -289,7 +291,8 @@ class TestListenerHardening:
         async def main():
             got = []
             listener = UDPHeartbeatListener(
-                lambda nid, seq, st, arr: got.append(seq), malformed_limit=50
+                lambda batch: got.extend(seq for _, seq, _, _ in batch),
+                malformed_limit=50,
             )
             await listener.start()
             loop = asyncio.get_running_loop()
@@ -316,10 +319,10 @@ class TestListenerHardening:
         async def main():
             got = []
 
-            def consumer(nid, seq, st, arr):
-                if seq == 0:
+            def consumer(batch):
+                if any(seq == 0 for _, seq, _, _ in batch):
                     raise RuntimeError("faulty consumer")
-                got.append(seq)
+                got.extend(seq for _, seq, _, _ in batch)
 
             listener = UDPHeartbeatListener(consumer)
             await listener.start()
@@ -328,6 +331,7 @@ class TestListenerHardening:
                 asyncio.DatagramProtocol, remote_addr=listener.address
             )
             transport.sendto(pack_heartbeat("p", 0, 0.0))
+            await asyncio.sleep(0.05)  # separate drains: the raise loses one
             transport.sendto(pack_heartbeat("p", 1, 0.0))
             await asyncio.sleep(0.1)
             transport.close()
@@ -341,7 +345,7 @@ class TestListenerHardening:
 
     def test_malformed_limit_validation(self):
         with pytest.raises(ConfigurationError):
-            UDPHeartbeatListener(lambda *a: None, malformed_limit=0)
+            UDPHeartbeatListener(lambda batch: None, malformed_limit=0)
 
 
 class TestServiceHardening:

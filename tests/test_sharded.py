@@ -1,13 +1,15 @@
-"""Sharded membership parity, the deadline wheel, and batched ingest.
+"""Membership-table parity, the deadline wheel, and batched ingest.
 
-The sharded table's contract is *bit-for-bit equivalence* with the flat
-:class:`~repro.cluster.membership.MembershipTable` — same statuses (and
+The :class:`~repro.cluster.membership.MembershipTable` contract is
+*bit-for-bit equivalence* with the flat oracle in ``flat_membership.py``,
+which re-classifies every node on every query — same statuses (and
 iteration order), same transition edges at the same timestamps, same
 restart/stale accounting, same QoS reports, same expiries — while doing
 O(changed) work per query.  These tests prove the equivalence under
 chaos-style heartbeat schedules (reorders, restarts, stale duplicates,
-interleaved queries) for every detector family, and cover the batch
-ingest path end to end.
+interleaved queries) for every detector family, pin the one deliberate
+difference (query clocks that step back), and cover the batch ingest
+path end to end.
 """
 
 import asyncio
@@ -19,13 +21,7 @@ import pytest
 from repro.errors import ConfigurationError, NotWarmedUpError
 from repro.core import SFD
 from repro.qos.spec import QoSRequirements
-from repro.cluster import (
-    DeadlineWheel,
-    MembershipTable,
-    MonitorGroup,
-    NodeStatus,
-    ShardedMembershipTable,
-)
+from repro.cluster import DeadlineWheel, MembershipTable, MonitorGroup, NodeStatus
 from repro.detectors import (
     BertierFD,
     ChenFD,
@@ -34,12 +30,9 @@ from repro.detectors import (
     PhiFD,
     QuantileFD,
 )
-from repro.runtime import (
-    FaultInjector,
-    FaultPlan,
-    UDPHeartbeatListener,
-    pack_heartbeat,
-)
+from repro.runtime import UDPHeartbeatListener, pack_heartbeat
+
+from flat_membership import FlatMembershipTable
 
 # --------------------------------------------------------------------- #
 # DeadlineWheel
@@ -98,7 +91,7 @@ class TestDeadlineWheel:
 
 
 # --------------------------------------------------------------------- #
-# flat-vs-sharded parity under chaos schedules
+# flat-oracle parity under chaos schedules
 # --------------------------------------------------------------------- #
 
 FACTORIES = {
@@ -146,35 +139,27 @@ def chaos_events(seed: int, *, nodes: int = 10, steps: int = 2500):
     return events
 
 
-def run_parity(
-    factory,
-    seed: int,
-    *,
-    shards: int = 4,
-    steps: int = 2500,
-    batched: bool = False,
-):
+def run_parity(factory, seed: int, *, steps: int = 2500, batched: bool = False):
     """Feed the same chaos stream to both tables and compare everything.
 
-    ``batched=True`` routes the sharded side through ``heartbeat_batch``
-    (QoS accounting off, so its steady-state fast path engages) and
-    flushes pending heartbeats before every query.
+    ``batched=True`` routes the table through ``heartbeat_batch`` (QoS
+    accounting off, so its steady-state fast path engages) and flushes
+    pending heartbeats before every query.
     """
     account = not batched
-    flat_tr, shard_tr = [], []
-    flat = MembershipTable(
+    flat_tr, table_tr = [], []
+    flat = FlatMembershipTable(
         factory,
         account_qos=account,
         on_transition=lambda nid, old, new, at: flat_tr.append(
             (nid, old.value, new.value, at)
         ),
     )
-    sharded = ShardedMembershipTable(
+    table = MembershipTable(
         factory,
         account_qos=account,
-        shards=shards,
         granularity=0.01,
-        on_transition=lambda nid, old, new, at: shard_tr.append(
+        on_transition=lambda nid, old, new, at: table_tr.append(
             (nid, old.value, new.value, at)
         ),
     )
@@ -182,9 +167,7 @@ def run_parity(
 
     def flush():
         if pending:
-            assert flat.heartbeat_batch(pending) == sharded.heartbeat_batch(
-                pending
-            )
+            assert flat.heartbeat_batch(pending) == table.heartbeat_batch(pending)
             pending.clear()
 
     t = 0.0
@@ -195,7 +178,7 @@ def run_parity(
                 pending.append((nid, seq, t, None))
                 continue
             a = flat.heartbeat(nid, seq, t)
-            b = sharded.heartbeat(nid, seq, t)
+            b = table.heartbeat(nid, seq, t)
             assert (a.heartbeats, a.restarts, a.stale_dropped) == (
                 b.heartbeats,
                 b.restarts,
@@ -205,31 +188,31 @@ def run_parity(
             flush()
             _, kind, nid, t = ev
             if kind == "statuses":
-                fa, sh = flat.statuses(t), sharded.statuses(t)
-                assert fa == sh
-                assert list(fa) == list(sh)  # iteration order too
+                fa, tb = flat.statuses(t), table.statuses(t)
+                assert fa == tb
+                assert list(fa) == list(tb)  # iteration order too
             elif kind == "summary":
-                assert flat.summary(t) == sharded.summary(t)
+                assert flat.summary(t) == table.summary(t)
             elif kind == "select":
                 for status in NodeStatus:
                     assert sorted(flat.select(t, status)) == sorted(
-                        sharded.select(t, status)
+                        table.select(t, status)
                     )
             elif kind == "status_of":
-                assert flat.status_of(nid, t) == sharded.status_of(nid, t)
+                assert flat.status_of(nid, t) == table.status_of(nid, t)
                 assert flat.status_of("ghost", t) is NodeStatus.UNKNOWN
-                assert sharded.status_of("ghost", t) is NodeStatus.UNKNOWN
+                assert table.status_of("ghost", t) is NodeStatus.UNKNOWN
             else:  # expire
-                assert flat.expire(t, silent_for=5.0) == sharded.expire(
+                assert flat.expire(t, silent_for=5.0) == table.expire(
                     t, silent_for=5.0
                 )
     # Final full-state comparison.
     flush()
     end = t + 0.5
-    assert flat.statuses(end) == sharded.statuses(end)
-    assert flat.restarts == sharded.restarts
+    assert flat.statuses(end) == table.statuses(end)
+    assert flat.restarts == table.restarts
     for state in flat.nodes():
-        twin = sharded.node(state.node_id)
+        twin = table.node(state.node_id)
         assert (
             state.heartbeats,
             state.last_seq,
@@ -238,9 +221,9 @@ def run_parity(
         ) == (twin.heartbeats, twin.last_seq, twin.restarts, twin.stale_dropped)
     # Same transitions at the same timestamps (ordering may differ across
     # nodes popped in the same advance).
-    assert sorted(flat_tr) == sorted(shard_tr)
+    assert sorted(flat_tr) == sorted(table_tr)
     for state in flat.nodes():
-        twin = sharded.node(state.node_id)
+        twin = table.node(state.node_id)
         try:
             fq = state.qos(end)
         except NotWarmedUpError:
@@ -261,11 +244,8 @@ class TestFlatShardedParity:
         run_parity(FACTORIES[family], seed=hash(family) % 1000)
 
     @pytest.mark.parametrize("seed", [7, 21])
-    def test_parity_across_seeds_and_shard_counts(self, seed):
-        run_parity(FACTORIES["phi"], seed=seed, shards=1 + seed % 7)
-
-    def test_single_shard_degenerate(self):
-        run_parity(FACTORIES["fixed"], seed=3, shards=1, steps=1200)
+    def test_parity_across_seeds(self, seed):
+        run_parity(FACTORIES["phi"], seed=seed)
 
     @pytest.mark.parametrize("family", sorted(FACTORIES))
     def test_batched_fast_path_parity(self, family):
@@ -273,24 +253,39 @@ class TestFlatShardedParity:
         steady-state fast path (inline linear-timeout lane for fixed /
         chen / bertier / quantile / ml — the learned detector overrides
         no suspicion hooks, so it qualifies — generic lane for phi /
-        sfd); the sharded side must still match a per-item flat table
-        verdict under the same chaos schedule."""
+        sfd); the table must still match the per-item flat oracle verdict
+        under the same chaos schedule."""
         run_parity(FACTORIES[family], seed=1 + hash(family) % 997, batched=True)
+
+    def test_query_clock_stepping_back_reads_latest_snapshot(self):
+        """The one deliberate difference: snapshot queries at a time
+        earlier than a previous query answer as of the latest advance,
+        where the flat oracle re-classifies at the earlier time.  Point
+        queries classify at the given time on both tables."""
+        flat = FlatMembershipTable(FACTORIES["fixed"])
+        table = MembershipTable(FACTORIES["fixed"])
+        for tbl in (flat, table):
+            for seq in range(4):
+                tbl.heartbeat("a", seq, 0.1 * seq)  # FP = 0.3 + 0.3
+            assert tbl.statuses(0.45) == {"a": NodeStatus.ACTIVE}
+            assert tbl.statuses(5.0) == {"a": NodeStatus.SUSPECT}
+        assert flat.statuses(0.45) == {"a": NodeStatus.ACTIVE}
+        assert table.statuses(0.45) == {"a": NodeStatus.SUSPECT}
+        assert table.summary(0.45)[NodeStatus.SUSPECT] == 1
+        assert table.select(0.45, NodeStatus.SUSPECT) == ["a"]
+        assert flat.status_of("a", 0.45) is NodeStatus.ACTIVE
+        assert table.status_of("a", 0.45) is NodeStatus.ACTIVE
 
 
 # --------------------------------------------------------------------- #
-# sharded-specific behaviour
+# wheel, snapshot and expiry-heap behaviour
 # --------------------------------------------------------------------- #
 
 
 class TestShardedTable:
-    def test_shards_validation(self):
-        with pytest.raises(ConfigurationError):
-            ShardedMembershipTable(FACTORIES["fixed"], shards=0)
-
     def test_advance_counts_and_hook(self):
         calls = []
-        table = ShardedMembershipTable(
+        table = MembershipTable(
             lambda nid: FixedTimeoutFD(0.1),
             granularity=0.01,
             on_advance=lambda popped, changed: calls.append((popped, changed)),
@@ -307,7 +302,7 @@ class TestShardedTable:
         assert table.advance(2.0) == 0
 
     def test_heartbeat_batch_counts_accepted_only(self):
-        table = ShardedMembershipTable(lambda nid: FixedTimeoutFD(0.1))
+        table = MembershipTable(lambda nid: FixedTimeoutFD(0.1))
         batch = [
             ("a", 0, 0.0, None),
             ("a", 1, 0.1, None),
@@ -318,7 +313,7 @@ class TestShardedTable:
         assert table.node("a").stale_dropped == 1
 
     def test_select_reads_index_sets(self):
-        table = ShardedMembershipTable(lambda nid: FixedTimeoutFD(0.1))
+        table = MembershipTable(lambda nid: FixedTimeoutFD(0.1))
         for nid in ("a", "b", "c"):
             for seq in range(3):
                 table.heartbeat(nid, seq, 0.1 * seq)
@@ -328,7 +323,7 @@ class TestShardedTable:
         assert table.select(5.05, NodeStatus.ACTIVE) == ["c"]
 
     def test_remove_cleans_all_structures(self):
-        table = ShardedMembershipTable(lambda nid: FixedTimeoutFD(0.1), shards=2)
+        table = MembershipTable(lambda nid: FixedTimeoutFD(0.1))
         for seq in range(3):
             table.heartbeat("a", seq, 0.1 * seq)
         table.remove("a")
@@ -339,7 +334,7 @@ class TestShardedTable:
         table.remove("a")  # idempotent
 
     def test_expire_refreshes_stale_heap_entries(self):
-        table = ShardedMembershipTable(lambda nid: FixedTimeoutFD(0.1))
+        table = MembershipTable(lambda nid: FixedTimeoutFD(0.1))
         table.heartbeat("a", 0, 0.0)  # heap entry pushed at arrival 0.0
         table.heartbeat("a", 1, 4.0)  # entry now out of date
         # Horizon past the *pushed* arrival but not the latest one: the
@@ -349,7 +344,7 @@ class TestShardedTable:
         assert table.expire(10.0, silent_for=2.0) == ["a"]
 
     def test_expire_never_heartbeat_nodes_kept(self):
-        table = ShardedMembershipTable(
+        table = MembershipTable(
             lambda nid: FixedTimeoutFD(0.1), auto_register=False
         )
         table.register("quiet")
@@ -359,7 +354,7 @@ class TestShardedTable:
 
     def test_transition_listeners_and_epoch(self):
         seen = []
-        table = ShardedMembershipTable(lambda nid: FixedTimeoutFD(0.1))
+        table = MembershipTable(lambda nid: FixedTimeoutFD(0.1))
         table.add_transition_listener(
             lambda nid, old, new, at: seen.append((nid, old, new))
         )
@@ -375,11 +370,10 @@ class TestShardedTable:
     def test_not_warmed_up_detectors_fall_back_to_always_set(self):
         # SFD cannot invert its curve until the slot logic warms up; the
         # node must still classify correctly on every query (flat cost).
-        table = ShardedMembershipTable(
-            lambda nid: SFD(QoSRequirements(0.3, 2.0, 0.98), window_size=8),
-            shards=1,
+        table = MembershipTable(
+            lambda nid: SFD(QoSRequirements(0.3, 2.0, 0.98), window_size=8)
         )
-        flat = MembershipTable(
+        flat = FlatMembershipTable(
             lambda nid: SFD(QoSRequirements(0.3, 2.0, 0.98), window_size=8)
         )
         t = 0.0
@@ -416,12 +410,10 @@ async def _blast(address, payloads):
 
 class TestBatchedListener:
     def test_exactly_one_callback_required(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError):
             UDPHeartbeatListener()
         with pytest.raises(ConfigurationError):
-            UDPHeartbeatListener(lambda *a: None, on_batch=lambda b: None)
-        with pytest.raises(ConfigurationError):
-            UDPHeartbeatListener(lambda *a: None, max_batch=0)
+            UDPHeartbeatListener(lambda batch: None, max_batch=0)
 
     def test_batch_path_delivers_all_with_per_datagram_stamps(self, run):
         async def main():
@@ -443,57 +435,6 @@ class TestBatchedListener:
         arrivals = [arr for _, _, arr, _ in flat]
         assert arrivals == sorted(arrivals)
         assert [st for _, _, _, st in flat] == [100.0 + s for s in range(20)]
-
-    def test_batched_and_single_listeners_agree_under_faults(self, run):
-        """The same fault-injected datagram stream produces the same
-        accepted heartbeats whether consumed per-datagram or per-batch."""
-
-        async def main():
-            single, batched = [], []
-            l1 = UDPHeartbeatListener(
-                lambda nid, seq, st, arr: single.append((nid, seq, st))
-            )
-            l2 = UDPHeartbeatListener(
-                on_batch=lambda b: batched.extend(
-                    (nid, seq, st) for nid, seq, _, st in b
-                )
-            )
-            await l1.start()
-            await l2.start()
-            plan = FaultPlan(drop=0.3, truncate=0.1)
-            inj1 = FaultInjector(l1.address, plan=plan, seed=9)
-            inj2 = FaultInjector(l2.address, plan=plan, seed=9)
-            await inj1.start()
-            await inj2.start()
-            payloads = [
-                pack_heartbeat(f"n{i % 4}", i // 4, float(i)) for i in range(80)
-            ]
-            loop = asyncio.get_running_loop()
-            t1, _ = await loop.create_datagram_endpoint(
-                asyncio.DatagramProtocol, remote_addr=inj1.address
-            )
-            t2, _ = await loop.create_datagram_endpoint(
-                asyncio.DatagramProtocol, remote_addr=inj2.address
-            )
-            for p in payloads:
-                t1.sendto(p)
-                t2.sendto(p)
-                await asyncio.sleep(0.001)
-            await asyncio.sleep(0.2)
-            t1.close()
-            t2.close()
-            await inj1.stop()
-            await inj2.stop()
-            m1, m2 = l1.malformed, l2.malformed
-            await l1.stop()
-            await l2.stop()
-            return single, batched, inj1.schedule, inj2.schedule, m1, m2
-
-        single, batched, sched1, sched2, m1, m2 = run(main())
-        assert sched1 == sched2  # same seed -> same per-datagram fates
-        assert single == batched
-        assert len(single) > 20  # the stream actually survived the faults
-        assert m1 == m2
 
     def test_malformed_flood_bulk_accounting(self, run):
         async def main():
@@ -535,7 +476,7 @@ class TestBatchedListener:
 
 
 def _fed_table(heartbeats_until: float, *, nodes=("a", "b")):
-    table = ShardedMembershipTable(lambda nid: FixedTimeoutFD(0.1))
+    table = MembershipTable(lambda nid: FixedTimeoutFD(0.1))
     t, seq = 0.0, 0
     while t <= heartbeats_until:
         for nid in nodes:
@@ -585,15 +526,6 @@ class TestMonitorGroupCache:
         # Next call re-judges only the dirty set (empty now) — roster kept.
         assert group.crashed_nodes(3.05) == ["b", "c"]
 
-    def test_flat_member_falls_back_to_legacy_path(self):
-        flat = MembershipTable(lambda nid: FixedTimeoutFD(0.1))
-        for seq in range(12):
-            flat.heartbeat("a", seq, 0.1 * seq)
-        group = MonitorGroup()
-        group.add_monitor("m1", flat)
-        assert not group.verdict("a", now=1.05).crashed
-        assert group.crashed_nodes(3.0) == ["a"]
-
     def test_membership_shape_change_rebuilds_roster(self):
         t1 = _fed_table(1.0)
         group = MonitorGroup()
@@ -608,3 +540,19 @@ class TestMonitorGroupCache:
             t2 += 0.1
         assert group.crashed_nodes(3.55) == ["a", "b"]
         assert group.crashed_nodes(9.0) == ["a", "b", "late"]
+
+    def test_expiry_plus_registration_rebuilds_roster(self):
+        """One expiry plus one registration keep every member's node
+        count, so the roster must be rebuilt on membership changes, not
+        on count changes."""
+        table = MembershipTable(lambda nid: FixedTimeoutFD(0.1))
+        for seq in range(5):
+            table.heartbeat("x", seq, 0.1 * seq)
+        group = MonitorGroup()
+        group.add_monitor("m", table)
+        assert group.crashed_nodes(2.0) == ["x"]
+        assert table.expire(10.0, silent_for=5.0) == ["x"]
+        table.heartbeat("y", 0, 10.0)
+        v = group.verdict("x", 10.01)
+        assert (v.observing, v.crashed) == (0, False)
+        assert group.crashed_nodes(10.01) == []
