@@ -46,7 +46,7 @@ from typing import Callable
 
 from repro.errors import ConfigurationError, NotWarmedUpError, UnknownNodeError
 from repro.detectors.base import FailureDetector, TimeoutFailureDetector
-from repro.qos.metrics import MistakeAccumulator
+from repro.qos.metrics import MistakeAccumulator, account_arrival
 from repro.qos.spec import QoSReport
 
 __all__ = ["NodeStatus", "NodeState", "DeadlineWheel", "MembershipTable"]
@@ -95,10 +95,14 @@ class NodeState:
     def qos(self, now: float) -> QoSReport:
         """Measured output QoS of this node's detector since warm-up.
 
-        The live counterpart of the DES MonitorProcess report: every late
+        The live counterpart of the DES MonitorProcess report, by the same
+        rule (:func:`~repro.qos.metrics.account_arrival`): every late
         heartbeat counted as one wrong suspicion, every freshness point as
-        a detection-time sample (the ``FP − A`` proxy, since live clocks
-        carry no comparable sender stamp).
+        a detection-time sample ``FP − σ``.  The table uses the sender
+        stamp ``σ`` whenever the heartbeat gives one; only a caller that
+        passes ``send_time=None`` — :class:`~repro.runtime.monitor.LiveMonitor`,
+        whose live clocks carry no comparable stamp — gets the ``FP − A``
+        proxy.
         """
         if self.accounting is None:
             raise NotWarmedUpError(
@@ -258,6 +262,9 @@ class MembershipTable:
         fly (how a PlanetLab-style open monitor behaves).
     account_qos:
         Keep live QoS accounting per node (see :meth:`NodeState.qos`).
+        Every node's detector must then have ``freshness_point()``;
+        registering one without it raises
+        :class:`~repro.errors.ConfigurationError`.
     reorder_window:
         Sequence regressions up to this many numbers behind the newest are
         treated as transport reordering and dropped; regressions *beyond*
@@ -375,13 +382,24 @@ class MembershipTable:
         """Add a node explicitly; idempotent."""
         state = self._nodes.get(node_id)
         if state is None:
-            state = NodeState(node_id=node_id, detector=self._factory(node_id))
+            state = NodeState(node_id=node_id, detector=self._build(node_id))
             self._nodes[node_id] = state
             self._statuses[node_id] = NodeStatus.UNKNOWN
             self._counts[NodeStatus.UNKNOWN] += 1
             self._by_status[NodeStatus.UNKNOWN][node_id] = None
             self._roster_epoch += 1
         return state
+
+    def _build(self, node_id: str) -> FailureDetector:
+        detector = self._factory(node_id)
+        if self._account and not hasattr(detector, "freshness_point"):
+            # The accounting rule checks arrivals against freshness points;
+            # without them there is nothing to measure.
+            raise ConfigurationError(
+                f"account_qos=True needs a detector with freshness_point(); "
+                f"{type(detector).__name__} has none"
+            )
+        return detector
 
     def remove(self, node_id: str) -> None:
         if self._nodes.pop(node_id, None) is None:
@@ -419,31 +437,17 @@ class MembershipTable:
                 return state
             self._mark_restarted(state)
         det = state.detector
-        was_ready = det.ready
-        if self._account and was_ready and state.accounting is not None:
-            # DESIGN.md §5 semantics, live: a late arrival reveals one
-            # wrong suspicion against the freshness point that guarded it.
-            try:
-                fp_prev = det.freshness_point()  # type: ignore[attr-defined]
-            except AttributeError:  # pragma: no cover - exotic detectors
-                fp_prev = math.inf
-            start = max(fp_prev, state.last_arrival)
-            if arrival > start:
-                state.accounting.add_mistake(start, arrival)
         det.observe(seq, arrival, send_time)
         state.last_seq = seq
         state.last_arrival = arrival
         state.heartbeats += 1
         if self._account and det.ready:
-            if not was_ready:
-                state.accounting = MistakeAccumulator(t_begin=arrival)
-            try:
-                fp = det.freshness_point()  # type: ignore[attr-defined]
-            except AttributeError:  # pragma: no cover
-                fp = arrival
-            origin = send_time if send_time is not None else arrival
-            assert state.accounting is not None
-            state.accounting.add_detection_sample(fp - origin)
+            state.accounting = account_arrival(
+                state.accounting,
+                arrival,
+                det.freshness_point(),  # type: ignore[attr-defined]
+                arrival if send_time is None else send_time,
+            )
         # Classify at arrival: recovery edges (SUSPECT -> ACTIVE) surface
         # immediately, and the wheel is re-armed at the next boundary.
         self._classify(state, arrival)
@@ -592,7 +596,7 @@ class MembershipTable:
         try:
             state.detector.reset()
         except NotImplementedError:
-            state.detector = self._factory(state.node_id)
+            state.detector = self._build(state.node_id)
         state.last_seq = -1
         state.last_arrival = math.nan
         state.accounting = None

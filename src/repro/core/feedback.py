@@ -18,9 +18,12 @@ to keep the best-effort margin, so the reaction is configurable via
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.errors import ConfigurationError, InfeasibleQoSError
+from repro.qos.metrics import MistakeAccumulator
 from repro.qos.spec import QoSReport, QoSRequirements, Satisfaction, classify
 
 __all__ = [
@@ -235,7 +238,6 @@ class TuningRecord:
     status: TuningStatus = TuningStatus.TUNING
 
 
-
 #: Cumulative-tally checkpoint: (time, mistakes, mistake_time, td_sum,
 #: td_count).  The driver diffs two checkpoints to get a window's QoS.
 Checkpoint = tuple[float, int, float, float, int]
@@ -245,21 +247,106 @@ class FeedbackDriver:
     """Slot bookkeeping shared by streaming SFD, the general monitor, and
     the vectorized replay.
 
-    The host owns cumulative QoS tallies; the driver decides, per slot
-    boundary, which evaluation window applies (cumulative / trailing
-    horizon / since-last-change per :class:`SlotConfig`), whether enough
-    evidence has accumulated (``min_slots``), asks the
-    :class:`FeedbackController` for the step, and tracks change points.
-    Keeping this logic in one place is what makes the three SFD
-    implementations provably identical.
+    The host owns its measured QoS (a
+    :class:`~repro.qos.metrics.MistakeAccumulator` fed by
+    :func:`~repro.qos.metrics.account_arrival`, or the replay's bulk
+    tallies) and the tuned value (SFD's margin, the monitor's knob); this
+    class closes every slot: it counts accounted heartbeats to the slot
+    boundary, picks the evaluation window (cumulative / trailing horizon /
+    since-last-change per :class:`SlotConfig`), waits for enough evidence
+    (``min_slots``), asks the :class:`FeedbackController` for the step,
+    clamps the new value into ``bounds``, and appends the
+    :class:`TuningRecord` to :attr:`trace` and hands it to :attr:`on_slot`.
+    Closing every slot in one place is what makes the three SFD
+    implementations identical.
     """
 
-    def __init__(self, controller: FeedbackController, slot: SlotConfig):
+    def __init__(
+        self,
+        controller: FeedbackController,
+        slot: SlotConfig,
+        bounds: tuple[float, float] = (0.0, math.inf),
+    ):
+        lo, hi = bounds
+        if not (lo <= hi):
+            raise ConfigurationError(f"invalid bounds {bounds!r}")
         self.controller = controller
         self.slot = slot
+        self.bounds = (float(lo), float(hi))
+        #: Per-slot feedback decisions, one per non-skipped slot.
+        self.trace: list[TuningRecord] = []
+        #: Optional observer called with each appended :class:`TuningRecord`
+        #: — the hook the observability layer uses to export SM(k)
+        #: trajectories and Sat_k decisions without coupling the core to
+        #: any metrics machinery.
+        self.on_slot: Callable[[TuningRecord], None] | None = None
+        self._in_slot = 0
+        self._slot_index = 0
         self._checkpoints: list[Checkpoint] = []
         self._change_base: Checkpoint | None = None
         self._since_change = 0
+
+    def clamp(self, value: float) -> float:
+        """``value`` clamped into :attr:`bounds`."""
+        lo, hi = self.bounds
+        return min(max(value, lo), hi)
+
+    def heartbeat(self, now: float, value: float, acc: MistakeAccumulator) -> float:
+        """Count one accounted heartbeat; the slot's last one closes it.
+
+        Returns the tuned value for what follows: ``value`` itself
+        mid-slot, the clamped adjusted value after a slot close.
+        """
+        self._in_slot += 1
+        if self._in_slot < self.slot.heartbeats:
+            return value
+        self._in_slot = 0
+        return self.close_slot(
+            now,
+            value,
+            acc.t_begin,
+            acc.mistakes,
+            acc.mistake_time,
+            acc.td_sum,
+            acc.td_count,
+        )
+
+    def close_slot(
+        self,
+        now: float,
+        value: float,
+        t_begin: float,
+        mistakes: int,
+        mistake_time: float,
+        td_sum: float,
+        td_count: int,
+    ) -> float:
+        """Close one slot on the cumulative tallies since ``t_begin``.
+
+        Returns the new tuned value.  A skipped slot (see :meth:`end_slot`)
+        still advances the slot index but leaves ``value`` and the trace
+        alone.
+        """
+        delta, snapshot = self.end_slot(
+            t_begin, now, mistakes, mistake_time, td_sum, td_count
+        )
+        self._slot_index += 1
+        if snapshot is None:
+            return value
+        after = self.clamp(value + delta)
+        record = TuningRecord(
+            slot=self._slot_index,
+            time=now,
+            sm_before=value,
+            sm_after=after,
+            decision=self.controller.last_decision or Satisfaction.STABLE,
+            qos=snapshot,
+            status=self.controller.status,
+        )
+        self.trace.append(record)
+        if self.on_slot is not None:
+            self.on_slot(record)
+        return after
 
     @staticmethod
     def _diff(base: Checkpoint, cur: Checkpoint) -> QoSReport | None:
@@ -329,7 +416,11 @@ class FeedbackDriver:
         return self.controller.status
 
     def reset(self) -> None:
+        """Forget every slot (the ``on_slot`` hook stays attached)."""
         self.controller.reset()
+        self.trace.clear()
+        self._in_slot = 0
+        self._slot_index = 0
         self._checkpoints.clear()
         self._change_base = None
         self._since_change = 0

@@ -14,15 +14,17 @@ solve consensus (Section IV-B).
 Streaming self-accounting
 -------------------------
 Unlike Chen/Bertier/φ, SFD must *measure its own output QoS* to drive the
-feedback.  Each received heartbeat is checked against the previous
-freshness point: a late arrival is one wrong-suspicion episode; every
-computed freshness point contributes a detection-time sample
-``FP − σ`` (using the sender timestamp when the heartbeat carries one, as
-logged traces do, else the conservative proxy ``FP − A`` which omits the
-unknown one-way delay).  Once per *time slot* (a fixed number of received
-heartbeats; "in a specific time slot, we adjust the parameters of SFD only
-one time", Section IV-A) the cumulative QoS snapshot feeds the
-:class:`~repro.core.feedback.FeedbackController`, whose signed step updates
+feedback, with the rule every streaming host shares
+(:func:`repro.qos.metrics.account_arrival`): each received heartbeat is
+checked against the previous freshness point, a late arrival is one
+wrong-suspicion episode, and every computed freshness point contributes a
+detection-time sample ``FP − σ`` (using the sender timestamp when the
+heartbeat carries one, as logged traces do, else the conservative proxy
+``FP − A`` which omits the unknown one-way delay).  Once per *time slot* (a
+fixed number of received heartbeats; "in a specific time slot, we adjust
+the parameters of SFD only one time", Section IV-A) the
+:class:`~repro.core.feedback.FeedbackDriver` closes the slot: the
+cumulative QoS snapshot feeds the controller, whose signed step updates
 ``SM``.
 
 Loss handling: the sequence-aware window estimator already absorbs gaps
@@ -50,8 +52,8 @@ from repro.core.feedback import (
     TuningRecord,
     TuningStatus,
 )
-from repro.qos.metrics import MistakeAccumulator
-from repro.qos.spec import QoSReport, QoSRequirements, Satisfaction
+from repro.qos.metrics import MistakeAccumulator, account_arrival
+from repro.qos.spec import QoSReport, QoSRequirements
 
 __all__ = ["SFD", "SlotConfig", "TuningRecord"]
 
@@ -108,32 +110,32 @@ class SFD(TimeoutFailureDetector):
             sm1 = alpha
         if sm1 < 0:
             raise ConfigurationError(f"SM1 must be >= 0, got {sm1!r}")
-        lo, hi = sm_bounds
-        if not (0.0 <= lo <= hi):
+        if not (0.0 <= sm_bounds[0]):
             raise ConfigurationError(f"invalid sm_bounds {sm_bounds!r}")
         self.requirements = requirements
         self.slot = slot if slot is not None else SlotConfig()
-        self.sm_bounds = (float(lo), float(hi))
-        self._sm = min(max(float(sm1), lo), hi)
-        self.sm1 = self._sm
         self._driver = FeedbackDriver(
             FeedbackController(requirements, alpha=alpha, beta=beta, policy=policy),
             self.slot,
+            sm_bounds,
         )
+        self._sm = self._driver.clamp(float(sm1))
+        self.sm1 = self._sm
         self._window = HeartbeatWindow(window_size)
         self._estimator = ChenEstimator(self._window, nominal_interval)
         self._acc: MistakeAccumulator | None = None
         self._ea = math.nan
         self._sm_at_fp = self._sm
-        self._hb_in_slot = 0
-        self._slot_index = 0
-        self._trace: list[TuningRecord] = []
-        #: Optional observer called with each appended
-        #: :class:`TuningRecord` at the end of every non-skipped tuning
-        #: slot — the hook the observability layer uses to export SM(k)
-        #: trajectories and Sat_k decisions without coupling the core to
-        #: any metrics machinery.
-        self.on_slot: Callable[[TuningRecord], None] | None = None
+
+    @property
+    def on_slot(self) -> Callable[[TuningRecord], None] | None:
+        """Optional observer of every :class:`TuningRecord` (see
+        :attr:`FeedbackDriver.on_slot`)."""
+        return self._driver.on_slot
+
+    @on_slot.setter
+    def on_slot(self, hook: Callable[[TuningRecord], None] | None) -> None:
+        self._driver.on_slot = hook
 
     # ------------------------------------------------------------------ #
     # observation & self-accounting
@@ -141,26 +143,16 @@ class SFD(TimeoutFailureDetector):
 
     def observe(self, seq: int, arrival: float, send_time: float | None = None) -> None:
         arrival = float(arrival)
-        was_ready = self.ready
-        if was_ready and self._acc is not None:
-            # Check the arrival against the freshness point that guarded it.
-            start = max(self._freshness, self._last_arrival)
-            if arrival > start:
-                self._acc.add_mistake(start, arrival)
         super().observe(seq, arrival, send_time)
         if not self.ready:
             return
-        if not was_ready:
-            # Warm-up just ended: accounting starts now (Section V discards
-            # the warm-up period).
-            self._acc = MistakeAccumulator(t_begin=arrival)
-        assert self._acc is not None
-        origin = send_time if send_time is not None else arrival
-        self._acc.add_detection_sample(self._freshness - origin)
-        self._hb_in_slot += 1
-        if self._hb_in_slot >= self.slot.heartbeats:
-            self._hb_in_slot = 0
-            self._end_slot(arrival)
+        self._acc = acc = account_arrival(
+            self._acc,
+            arrival,
+            self._freshness,
+            arrival if send_time is None else send_time,
+        )
+        self._sm = self._driver.heartbeat(arrival, self._sm, acc)
 
     def _ingest(self, seq: int, arrival: float, send_time: float | None) -> None:
         self._window.push(seq, arrival)
@@ -169,31 +161,6 @@ class SFD(TimeoutFailureDetector):
         self._ea = self._estimator.expected_arrival()
         self._sm_at_fp = self._sm
         return self._ea + self._sm
-
-    def _end_slot(self, now: float) -> None:
-        assert self._acc is not None
-        acc = self._acc
-        before = self._sm
-        delta, snapshot = self._driver.end_slot(
-            acc.t_begin, now, acc.mistakes, acc.mistake_time, acc.td_sum, acc.td_count
-        )
-        self._slot_index += 1
-        if snapshot is None:
-            return  # skipped: degenerate window or awaiting min_slots
-        lo, hi = self.sm_bounds
-        self._sm = min(max(self._sm + delta, lo), hi)
-        record = TuningRecord(
-            slot=self._slot_index,
-            time=now,
-            sm_before=before,
-            sm_after=self._sm,
-            decision=self._driver.controller.last_decision or Satisfaction.STABLE,
-            qos=snapshot,
-            status=self._driver.status,
-        )
-        self._trace.append(record)
-        if self.on_slot is not None:
-            self.on_slot(record)
 
     # ------------------------------------------------------------------ #
     # accrual output (Section IV-C1)
@@ -255,7 +222,7 @@ class SFD(TimeoutFailureDetector):
     @property
     def tuning_trace(self) -> list[TuningRecord]:
         """Per-slot feedback decisions (copy-free; treat as read-only)."""
-        return self._trace
+        return self._driver.trace
 
     def qos_snapshot(self, now: float) -> QoSReport:
         """Cumulative measured output QoS at ``now`` (post warm-up)."""
@@ -271,6 +238,3 @@ class SFD(TimeoutFailureDetector):
         self._acc = None
         self._ea = math.nan
         self._sm_at_fp = self._sm
-        self._hb_in_slot = 0
-        self._slot_index = 0
-        self._trace.clear()

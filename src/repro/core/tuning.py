@@ -14,14 +14,16 @@ conservative (larger TD, fewer mistakes).  Every detector in this library
 satisfies that for the attributes named above.
 
 Wrapping :class:`~repro.detectors.chen.ChenFD` on ``alpha`` reproduces SFD
-exactly (SFD *is* self-tuned Chen with an accrual face); the test suite
-asserts the two freshness-point trajectories coincide.
+exactly (SFD *is* self-tuned Chen with an accrual face): both account
+through :func:`repro.qos.metrics.account_arrival` and close their slots in
+the shared :class:`~repro.core.feedback.FeedbackDriver`, and the test suite
+asserts the freshness points, tuning traces and measured QoS are
+bit-identical.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, NotWarmedUpError
 from repro.detectors.base import TimeoutFailureDetector
@@ -33,25 +35,10 @@ from repro.core.feedback import (
     TuningRecord,
     TuningStatus,
 )
-from repro.qos.metrics import MistakeAccumulator
-from repro.qos.spec import QoSReport, QoSRequirements, Satisfaction
+from repro.qos.metrics import MistakeAccumulator, account_arrival
+from repro.qos.spec import QoSReport, QoSRequirements
 
 __all__ = ["SelfTuningMonitor"]
-
-
-@dataclass(frozen=True, slots=True)
-class _Knob:
-    """Accessor for the wrapped detector's scalar parameter."""
-
-    attribute: str
-    minimum: float
-    maximum: float
-
-    def get(self, detector: TimeoutFailureDetector) -> float:
-        return float(getattr(detector, self.attribute))
-
-    def set(self, detector: TimeoutFailureDetector, value: float) -> None:
-        setattr(detector, self.attribute, min(max(value, self.minimum), self.maximum))
 
 
 class SelfTuningMonitor:
@@ -91,66 +78,34 @@ class SelfTuningMonitor:
             raise ConfigurationError(
                 f"{type(detector).__name__} has no attribute {knob!r} to tune"
             )
-        lo, hi = knob_bounds
-        if not (lo <= hi):
-            raise ConfigurationError(f"invalid knob_bounds {knob_bounds!r}")
         self.detector = detector
         self.requirements = requirements
         self.slot = slot if slot is not None else SlotConfig()
-        self._knob = _Knob(knob, float(lo), float(hi))
+        self._knob = knob
         self._driver = FeedbackDriver(
             FeedbackController(requirements, alpha=alpha, beta=beta, policy=policy),
             self.slot,
+            knob_bounds,
         )
         self._acc: MistakeAccumulator | None = None
-        self._hb_in_slot = 0
-        self._slot_index = 0
-        self._trace: list[TuningRecord] = []
 
     def observe(self, seq: int, arrival: float, send_time: float | None = None) -> None:
         """Feed one heartbeat; account QoS; adjust the knob at slot ends."""
         arrival = float(arrival)
-        was_ready = self.detector.ready
-        if was_ready and self._acc is not None:
-            fp_prev = self.detector.freshness_point()
-            start = max(fp_prev, self.detector.last_arrival)
-            if arrival > start:
-                self._acc.add_mistake(start, arrival)
-        self.detector.observe(seq, arrival, send_time)
-        if not self.detector.ready:
+        det = self.detector
+        det.observe(seq, arrival, send_time)
+        if not det.ready:
             return
-        if not was_ready:
-            self._acc = MistakeAccumulator(t_begin=arrival)
-        assert self._acc is not None
-        origin = send_time if send_time is not None else arrival
-        self._acc.add_detection_sample(self.detector.freshness_point() - origin)
-        self._hb_in_slot += 1
-        if self._hb_in_slot >= self.slot.heartbeats:
-            self._hb_in_slot = 0
-            self._end_slot(arrival)
-
-    def _end_slot(self, now: float) -> None:
-        assert self._acc is not None
-        acc = self._acc
-        before = self._knob.get(self.detector)
-        delta, snapshot = self._driver.end_slot(
-            acc.t_begin, now, acc.mistakes, acc.mistake_time, acc.td_sum, acc.td_count
+        self._acc = acc = account_arrival(
+            self._acc,
+            arrival,
+            det.freshness_point(),
+            arrival if send_time is None else send_time,
         )
-        self._slot_index += 1
-        if snapshot is None:
-            return
-        self._knob.set(self.detector, before + delta)
-        self._trace.append(
-            TuningRecord(
-                slot=self._slot_index,
-                time=now,
-                sm_before=before,
-                sm_after=self._knob.get(self.detector),
-                decision=self._driver.controller.last_decision or Satisfaction.STABLE,
-                qos=snapshot,
-                status=self._driver.status,
-            )
-        )
+        before = self.knob_value
+        after = self._driver.heartbeat(arrival, before, acc)
+        if after != before:
+            setattr(det, self._knob, after)
 
     # Pass-through queries -------------------------------------------- #
 
@@ -170,7 +125,7 @@ class SelfTuningMonitor:
     @property
     def knob_value(self) -> float:
         """Current value of the tuned attribute."""
-        return self._knob.get(self.detector)
+        return float(getattr(self.detector, self._knob))
 
     def update_requirements(self, requirements: QoSRequirements) -> None:
         """Re-target the feedback loop at a new QoS contract at runtime."""
@@ -185,7 +140,7 @@ class SelfTuningMonitor:
 
     @property
     def tuning_trace(self) -> list[TuningRecord]:
-        return self._trace
+        return self._driver.trace
 
     def qos_snapshot(self, now: float) -> QoSReport:
         if self._acc is None:

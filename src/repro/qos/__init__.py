@@ -11,6 +11,7 @@ methodology used for the figure sweeps (Section V).
 from repro.qos.spec import QoSReport, QoSRequirements, Satisfaction, classify
 from repro.qos.metrics import (
     MistakeAccumulator,
+    account_arrival,
     qos_from_intervals,
     suspicion_intervals_from_freshness,
 )
@@ -24,6 +25,7 @@ __all__ = [
     "Satisfaction",
     "classify",
     "MistakeAccumulator",
+    "account_arrival",
     "qos_from_intervals",
     "suspicion_intervals_from_freshness",
     "QoSCurve",

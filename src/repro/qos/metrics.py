@@ -4,10 +4,10 @@ Two consumers share these routines:
 
 * the vectorized replay engine (:mod:`repro.replay`), which turns whole
   arrays of freshness points into suspicion intervals in one shot, and
-* streaming monitors (:mod:`repro.sim`, :mod:`repro.runtime`) and the SFD
-  feedback loop, which accumulate episodes one at a time through
-  :class:`MistakeAccumulator` and periodically snapshot a
-  :class:`~repro.qos.spec.QoSReport`.
+* streaming hosts (SFD, the general self-tuning monitor, the membership
+  table, the DES monitor), which apply the same rule one arrival at a time
+  through :func:`account_arrival` into a :class:`MistakeAccumulator` and
+  snapshot a :class:`~repro.qos.spec.QoSReport` from it.
 
 Replay semantics (DESIGN.md §5): after the r-th received heartbeat arrives
 at ``A_r`` the detector fixes the freshness point ``FP_r``; if the next
@@ -18,7 +18,7 @@ monitored process during ``[max(FP_r, A_r), A_{r+1})``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "qos_from_intervals",
     "qos_from_freshness",
     "MistakeAccumulator",
+    "account_arrival",
 ]
 
 
@@ -166,15 +167,16 @@ class MistakeAccumulator:
     """Incremental QoS accounting for streaming monitors and feedback slots.
 
     The accumulator tracks the same quantities as :func:`qos_from_intervals`
-    but accepts episodes one at a time, so a live monitor (or the SFD slot
+    but takes episodes one at a time, so a live monitor (or the SFD slot
     controller) can snapshot the cumulative QoS at any instant — "the output
     QoS of SFD is based on all the former time periods" (Section IV-A).
+    Streaming hosts never fill it by hand: :func:`account_arrival` is the
+    one rule that starts and feeds it.
 
     Usage::
 
-        acc = MistakeAccumulator(t_begin=now)
-        acc.add_detection_sample(fp - send_time)
-        acc.add_mistake(start, end)            # one wrong suspicion episode
+        acc = account_arrival(None, arrival, fp, send_time)   # warm-up ends
+        acc = account_arrival(acc, arrival, fp, send_time)    # each later one
         report = acc.snapshot(now)
     """
 
@@ -183,12 +185,22 @@ class MistakeAccumulator:
     mistake_time: float = 0.0
     _td_sum: float = 0.0
     _td_count: int = 0
-    _open_since: float | None = field(default=None, repr=False)
+    #: ``max(FP, A)`` of the last accounted arrival: where the host's output
+    #: starts suspecting if no heartbeat comes, so a later arrival reveals
+    #: one wrong suspicion beginning here.
+    suspect_from: float = math.nan
 
     def add_detection_sample(self, td: float) -> None:
-        """Record one detection-time sample (seconds, must be finite)."""
-        if not math.isfinite(td):
-            raise ConfigurationError(f"detection sample must be finite, got {td!r}")
+        """Record one detection-time sample (seconds).
+
+        ``+inf`` is a legal sample: a freshness point past φ's float64
+        cutoff never expires, and replay reports ``TD = inf`` for it.  NaN
+        and ``-inf`` can only come from a broken freshness point.
+        """
+        if not td > -math.inf:
+            raise ConfigurationError(
+                f"detection sample must be a number or +inf, got {td!r}"
+            )
         self._td_sum += td
         self._td_count += 1
 
@@ -199,18 +211,6 @@ class MistakeAccumulator:
         self.mistakes += 1
         self.mistake_time += end - start
 
-    def open_mistake(self, start: float) -> None:
-        """Mark the beginning of a wrong suspicion whose end is unknown yet."""
-        if self._open_since is None:
-            self._open_since = start
-            self.mistakes += 1
-
-    def close_mistake(self, end: float) -> None:
-        """Close a previously opened wrong suspicion at time ``end``."""
-        if self._open_since is not None:
-            self.mistake_time += max(0.0, end - self._open_since)
-            self._open_since = None
-
     @property
     def detection_time(self) -> float:
         """Running mean of the detection-time samples (NaN if none)."""
@@ -220,7 +220,7 @@ class MistakeAccumulator:
 
     @property
     def td_sum(self) -> float:
-        """Cumulative sum of detection-time samples (for checkpointing)."""
+        """Cumulative sum of detection-time samples (the feedback slot tally)."""
         return self._td_sum
 
     @property
@@ -228,51 +228,14 @@ class MistakeAccumulator:
         """Number of detection-time samples so far."""
         return self._td_count
 
-    def checkpoint(self, now: float) -> tuple[float, int, float, float, int]:
-        """Freeze the cumulative tallies at ``now`` (for windowed feedback)."""
-        return (now, self.mistakes, self.mistake_time, self._td_sum, self._td_count)
-
-    def snapshot_since(
-        self, now: float, base: tuple[float, int, float, float, int] | None
-    ) -> QoSReport | None:
-        """QoS over ``[base.time, now]`` relative to an earlier checkpoint.
-
-        ``base=None`` measures from ``t_begin``.  Returns ``None`` when the
-        window is empty (non-positive span).  Used by the SFD slot
-        controller's trailing-horizon feedback (see
-        :class:`repro.core.sfd.SlotConfig`).
-        """
-        if base is None:
-            base = (self.t_begin, 0, 0.0, 0.0, 0)
-        t0, m0, mt0, ts0, tc0 = base
-        total = now - t0
-        if total <= 0:
-            return None
-        mistakes = self.mistakes - m0
-        mistake_time = min(max(self.mistake_time - mt0, 0.0), total)
-        tc = self._td_count - tc0
-        td = (self._td_sum - ts0) / tc if tc else math.nan
-        return QoSReport(
-            detection_time=td,
-            mistake_rate=mistakes / total,
-            query_accuracy=1.0 - mistake_time / total,
-            mistakes=mistakes,
-            mistake_time=mistake_time,
-            accounted_time=total,
-            samples=tc,
-        )
-
     def snapshot(self, now: float) -> QoSReport:
-        """Cumulative QoS over ``[t_begin, now]`` including any open episode."""
+        """Cumulative QoS over ``[t_begin, now]``."""
         if now <= self.t_begin:
             raise ConfigurationError(
                 f"snapshot time {now!r} must exceed t_begin {self.t_begin!r}"
             )
         total = now - self.t_begin
-        open_time = 0.0
-        if self._open_since is not None:
-            open_time = max(0.0, now - self._open_since)
-        mistake_time = min(self.mistake_time + open_time, total)
+        mistake_time = min(self.mistake_time, total)
         return QoSReport(
             detection_time=self.detection_time,
             mistake_rate=self.mistakes / total,
@@ -282,3 +245,38 @@ class MistakeAccumulator:
             accounted_time=total,
             samples=self._td_count,
         )
+
+
+def account_arrival(
+    acc: MistakeAccumulator | None,
+    arrival: float,
+    freshness: float,
+    origin: float,
+) -> MistakeAccumulator:
+    """DESIGN.md §5's rule for one arrival at a warmed-up streaming detector.
+
+    The one self-accounting path of every streaming host: SFD, the general
+    self-tuning monitor, the membership table and the DES monitor.  Call it
+    after the detector consumed the heartbeat, with the freshness point
+    ``FP`` that heartbeat fixed and its origin ``σ`` (the sender stamp, or
+    the arrival itself when the heartbeat carries none).
+
+    * ``acc=None``: warm-up ended with this arrival, so accounting starts
+      here (the warm-up period is discarded, as in replay).
+    * Otherwise the arrival is checked against the freshness point fixed
+      after the previous one: a late arrival reveals one wrong suspicion
+      over ``[max(FP_prev, A_prev), arrival)``.
+    * Either way ``FP − σ`` is one detection-time sample.  An infinite
+      freshness point gives ``TD = inf`` and no mistakes, as replay does.
+
+    Returns the accumulator (a new one when ``acc`` is ``None``).
+    """
+    if acc is None:
+        acc = MistakeAccumulator(t_begin=arrival)
+    elif arrival > acc.suspect_from:
+        acc.add_mistake(acc.suspect_from, arrival)
+    acc.add_detection_sample(freshness - origin)
+    # Suspicion can only begin once the freshness point has been computed
+    # (the replay's clip at A_r for degenerate FP_r <= A_r).
+    acc.suspect_from = max(freshness, arrival)
+    return acc

@@ -54,7 +54,7 @@ from repro.core.feedback import (
 from repro.detectors.ml import ML_JITTER_FLOOR, OnlineArrivalPredictor
 from repro.detectors.phi import SIGMA_FLOOR
 from repro.detectors.window import SortedWindow
-from repro.qos.spec import QoSRequirements, Satisfaction
+from repro.qos.spec import QoSRequirements
 from repro.traces.trace import MonitorView
 
 __all__ = [
@@ -472,8 +472,7 @@ def sfd_evaluate(
     slot = slot if slot is not None else SlotConfig()
     if sm1 is None:
         sm1 = alpha
-    lo_b, hi_b = sm_bounds
-    if not (0.0 <= lo_b <= hi_b):
+    if not (0.0 <= sm_bounds[0]):
         raise ConfigurationError(f"invalid sm_bounds {sm_bounds!r}")
     _require_view(view, window + 1)
     arrivals = view.arrivals
@@ -484,10 +483,10 @@ def sfd_evaluate(
     driver = FeedbackDriver(
         FeedbackController(requirements, alpha=alpha, beta=beta, policy=policy),
         slot,
+        sm_bounds,
     )
-    sm = min(max(float(sm1), lo_b), hi_b)
+    sm = driver.clamp(float(sm1))
     fp = np.full(n, np.nan, dtype=np.float64)
-    records: list[TuningRecord] = []
     # Cumulative accounting scalars (mirror MistakeAccumulator): mistakes
     # are attributed to the *revealing* arrival (streaming discovers a late
     # heartbeat when it arrives), so a slot snapshot at arrival `stop−1`
@@ -497,7 +496,6 @@ def sfd_evaluate(
     mistakes = 0
     mistake_time = 0.0
     t_begin = float(arrivals[r0])
-    slot_index = 0
     start = r0
     while start < n:
         stop = min(start + slot.heartbeats, n)  # segment [start, stop)
@@ -518,32 +516,21 @@ def sfd_evaluate(
             mistakes += int(np.count_nonzero(pos))
             mistake_time += float(np.sum(gap[pos]))
         if stop - start == slot.heartbeats:
-            # Full slot completed: streaming adjusts at the arrival of the
-            # slot's last heartbeat (index stop−1).
-            now = float(arrivals[stop - 1])
-            before = sm
-            delta, snapshot = driver.end_slot(
-                t_begin, now, mistakes, mistake_time, td_sum, td_count
+            # Full slot completed: streaming closes it at the arrival of
+            # the slot's last heartbeat (index stop−1).
+            sm = driver.close_slot(
+                float(arrivals[stop - 1]),
+                sm,
+                t_begin,
+                mistakes,
+                mistake_time,
+                td_sum,
+                td_count,
             )
-            slot_index += 1
-            if snapshot is not None:
-                sm = min(max(sm + delta, lo_b), hi_b)
-                records.append(
-                    TuningRecord(
-                        slot=slot_index,
-                        time=now,
-                        sm_before=before,
-                        sm_after=sm,
-                        decision=driver.controller.last_decision
-                        or Satisfaction.STABLE,
-                        qos=snapshot,
-                        status=driver.status,
-                    )
-                )
         start = stop
     return SFDReplay(
         freshness=fp,
         final_margin=sm,
         status=driver.status,
-        trace=records,
+        trace=driver.trace,
     )

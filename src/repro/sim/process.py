@@ -17,7 +17,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.detectors.base import FailureDetector
 from repro.net.drift import ClockModel, PerfectClock
-from repro.qos.metrics import MistakeAccumulator
+from repro.qos.metrics import MistakeAccumulator, account_arrival
 from repro.qos.spec import QoSReport
 from repro.sim.crash import CrashPlan
 from repro.sim.engine import Simulator
@@ -147,7 +147,6 @@ class MonitorProcess:
         self.ground_truth = ground_truth if ground_truth is not None else CrashPlan.never()
         self._acc: MistakeAccumulator | None = None
         self._last_seq = -1
-        self._last_arrival = math.nan
         self._heartbeats = 0
         self._stale = 0
         self._transitions: list[tuple[float, bool]] = []
@@ -158,31 +157,22 @@ class MonitorProcess:
         if hb.seq <= self._last_seq:
             self._stale += 1
             return
-        was_ready = self.detector.ready
-        if was_ready:
-            fp = self._freshness()
-            start = max(fp, self._last_arrival)
-            if now > start and self._acc is not None:
-                # A wrong suspicion only if the sender was alive throughout;
-                # with a crashed sender no further heartbeats arrive, so
-                # every episode observed here is pre-crash and wrong.
-                self._acc.add_mistake(start, now)
-                self._transitions.append((start, True))
-                self._transitions.append((now, False))
         self.detector.observe(hb.seq, now, hb.send_time)
         self._last_seq = hb.seq
-        self._last_arrival = now
         self._heartbeats += 1
-        if self.detector.ready:
-            if not was_ready:
-                self._acc = MistakeAccumulator(t_begin=now)
-            assert self._acc is not None
-            self._acc.add_detection_sample(self._freshness() - hb.send_time)
-
-    def _freshness(self) -> float:
+        if not self.detector.ready:
+            return
+        acc = self._acc
+        if acc is not None and now > acc.suspect_from:
+            # The output suspected until this arrival: the timeline edges
+            # of the wrong suspicion the rule below accounts.  Wrong, since
+            # a crashed sender sends no further heartbeats: every episode
+            # observed here is pre-crash.
+            self._transitions += ((acc.suspect_from, True), (now, False))
         # Every shipped detector exposes a freshness point; accrual ones
         # via their equivalent timeout.
-        return self.detector.freshness_point()  # type: ignore[attr-defined]
+        fp = self.detector.freshness_point()  # type: ignore[attr-defined]
+        self._acc = account_arrival(acc, now, fp, hb.send_time)
 
     def suspects_now(self) -> bool:
         """Live query of the detector's binary output."""
@@ -194,9 +184,8 @@ class MonitorProcess:
         """Close accounting at the current simulated time."""
         now = float(self.clock.read(self.sim.now))
         detection = math.nan
-        if self.ground_truth.crashes and self.detector.ready:
-            fp = self._freshness()
-            suspect_start = max(fp, self._last_arrival)
+        if self.ground_truth.crashes and self._acc is not None:
+            suspect_start = self._acc.suspect_from
             if suspect_start <= now:
                 detection = suspect_start - self.ground_truth.crash_time
                 self._transitions.append((suspect_start, True))

@@ -5,7 +5,11 @@ Writes, next to this script:
 * ``golden_wan1.bin`` — a small columnar trace (WAN-1 profile, n=4000,
   seed=2012, well under the 1 MB hygiene cap), and
 * ``golden_qos.json`` — the exact QoS report of one representative spec
-  per registered detector family replayed over it.
+  per registered detector family replayed over it (``qos``), and the QoS
+  the live plane measures for the same spec (``live_qos``): a
+  :class:`~repro.cluster.MembershipTable` with ``account_qos=True`` fed
+  the trace one heartbeat at a time with sender stamps, snapshot at the
+  last arrival.
 
 ``tests/test_golden.py`` asserts byte/bit equality against these files,
 so any numeric drift in a kernel, the synthesizer, or the columnar codec
@@ -22,6 +26,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parents[1] / "src"))
 
+from repro.cluster import MembershipTable  # noqa: E402
 from repro.detectors import registry  # noqa: E402
 from repro.replay import replay  # noqa: E402
 from repro.traces.columnar import TraceStore, write_columnar  # noqa: E402
@@ -55,6 +60,17 @@ QOS_FIELDS = (
 )
 
 
+def table_qos(spec: str, store: TraceStore):
+    """The table-accounted (live-plane) QoS of ``spec`` over ``store``."""
+    view = store.view()
+    table = MembershipTable(spec, account_qos=True)
+    for seq, arrival, send in zip(
+        view.seq.tolist(), view.arrivals.tolist(), view.send_times.tolist()
+    ):
+        table.heartbeat("golden", seq, arrival, send)
+    return table.node("golden").qos(float(view.arrivals[-1]))
+
+
 def main() -> None:
     missing = set(registry.names()) - set(GOLDEN_SPECS)
     if missing:
@@ -66,10 +82,15 @@ def main() -> None:
     store = TraceStore(bin_path)
 
     qos = {}
+    live_qos = {}
     for family, text in GOLDEN_SPECS.items():
         report = replay(registry.parse_spec(text), store).qos
         qos[family] = {"spec": text} | {
             f: getattr(report, f) for f in QOS_FIELDS
+        }
+        live = table_qos(text, store)
+        live_qos[family] = {"spec": text} | {
+            f: getattr(live, f) for f in QOS_FIELDS
         }
 
     payload = {
@@ -80,6 +101,7 @@ def main() -> None:
         "seed": SEED,
         "fingerprint": store.fingerprint(),
         "qos": qos,
+        "live_qos": live_qos,
     }
     json_path = HERE / "golden_qos.json"
     json_path.write_text(json.dumps(payload, indent=2) + "\n")

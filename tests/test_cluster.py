@@ -13,6 +13,7 @@ from repro.cluster import (
     NodeStatus,
 )
 from repro.detectors import FixedTimeoutFD, PhiFD
+from repro.detectors.base import FailureDetector
 
 
 def fixed_factory(timeout=0.5):
@@ -227,6 +228,49 @@ class TestLiveQoSAccounting:
         qos = t.node("a").qos(last)
         assert qos.mistakes == 0
         assert qos.query_accuracy == 1.0
+
+    def test_infinite_freshness_point_classifies_and_reports_infinite_td(self):
+        # phi past its float64 inversion cutoff: FP = inf, which replay
+        # reports as TD = inf, MR = 0, QAP = 1.  The live table must do the
+        # same and still classify the node.
+        t = MembershipTable("phi:threshold=18,window=10", account_qos=True)
+        times = [0.1 * i + 0.01 * (i % 3) for i in range(40)]
+        for i, at in enumerate(times):
+            t.heartbeat("a", i, at, at - 0.02)
+        assert t.node("a").detector.freshness_point() == math.inf
+        assert t.status_of("a", times[-1]) is NodeStatus.ACTIVE
+        qos = t.node("a").qos(times[-1])
+        assert qos.detection_time == math.inf
+        assert qos.mistakes == 0
+        assert qos.query_accuracy == 1.0
+
+    def test_detector_without_freshness_point_rejected(self):
+        class TimeoutStub(FailureDetector):
+            """Binary 0.5 s timeout with no freshness_point()."""
+
+            last = -math.inf
+
+            def observe(self, seq, arrival, send_time=None):
+                self.last = arrival
+
+            @property
+            def ready(self):
+                return self.last > -math.inf
+
+            def suspicion(self, now):
+                return math.inf if now - self.last > 0.5 else 0.0
+
+        # Without freshness points there is nothing to account against:
+        # no silent perfect report, a refusal naming the class.
+        t = MembershipTable(lambda nid: TimeoutStub(), account_qos=True)
+        with pytest.raises(ConfigurationError, match="TimeoutStub"):
+            t.heartbeat("a", 0, 0.0)
+        with pytest.raises(ConfigurationError, match="TimeoutStub"):
+            t.register("b")
+        assert len(t) == 0
+        plain = MembershipTable(lambda nid: TimeoutStub())
+        plain.heartbeat("a", 0, 0.0)
+        assert plain.status_of("a", 1.0) is NodeStatus.SUSPECT
 
 
 class TestExpiry:

@@ -25,14 +25,18 @@ differential case, so the harness stays exhaustive by construction.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+from repro.cluster import MembershipTable
 from repro.detectors import registry
 from repro.qos.spec import QoSRequirements
 from repro.replay import replay
 from repro.replay.engine import _account
+from repro.sim.engine import Simulator
+from repro.sim.process import Heartbeat, MonitorProcess
 from repro.traces.columnar import TraceStore, write_columnar
 
 from conftest import stream_freshness  # noqa: E402
@@ -129,6 +133,72 @@ def test_streaming_and_vectorized_qos_agree(
 
         vectorized = replay(spec, view).qos
         assert_qos_equivalent(streamed, vectorized, f"{family}@{value}")
+
+
+# --------------------------------------------------------------------- #
+# cross-plane: every streaming host's self-accounting ≡ replay
+# --------------------------------------------------------------------- #
+#
+# SFD tunes against QoS it measures itself, while the paper's figures come
+# from replay().  Every streaming host accounts through one rule
+# (repro.qos.metrics.account_arrival); these cases pin that rule, as each
+# host runs it, to the offline accounting — φ's infinite freshness points
+# included.
+
+
+def _host_reports(build, view) -> list:
+    """One view through every streaming host that self-accounts; each
+    host's report is taken at the last arrival."""
+    rows = list(
+        zip(
+            view.seq.tolist(),
+            view.arrivals.tolist(),
+            view.send_times.tolist(),
+        )
+    )
+    last = rows[-1][1]
+    reports = []
+
+    table = MembershipTable(lambda _node: build(), account_qos=True)
+    for seq, arrival, send in rows:
+        table.heartbeat("n", seq, arrival, send)
+    reports.append(table.node("n").qos(last))
+
+    batched = MembershipTable(lambda _node: build(), account_qos=True)
+    batched.heartbeat_batch([("n", seq, a, s) for seq, a, s in rows])
+    reports.append(batched.node("n").qos(last))
+
+    sim = Simulator()
+    monitor = MonitorProcess(sim, build())
+    for seq, arrival, send in rows:
+        sim.schedule_at(arrival, partial(monitor.deliver, Heartbeat(seq, send)))
+    sim.run()
+    reports.append(monitor.finish().qos)
+
+    own = build()
+    if hasattr(own, "qos_snapshot"):
+        for seq, arrival, send in rows:
+            own.observe(seq, arrival, send)
+        reports.append(own.qos_snapshot(last))
+    return reports
+
+
+@pytest.mark.parametrize("kind,n,seed", VIEWS, ids=[v[0] for v in VIEWS])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_streaming_hosts_account_like_replay(
+    view_factory, family, kind, n, seed
+):
+    view = view_factory(kind, n=n, seed=seed)
+    fam = registry.get(family)
+    grid, params = differential_case(family)
+    for value in grid:
+        spec = fam.grid_spec(float(value), **params)
+        reports = _host_reports(partial(fam.build, spec), view)
+        # The hosts run the same rule on the same floats: equal, not close.
+        assert all(r == reports[0] for r in reports), (family, value)
+        assert_qos_equivalent(
+            reports[0], replay(spec, view).qos, f"{family}@{value}"
+        )
 
 
 # --------------------------------------------------------------------- #

@@ -8,6 +8,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.qos.metrics import (
     MistakeAccumulator,
+    account_arrival,
     qos_from_intervals,
     suspicion_intervals_from_freshness,
 )
@@ -125,54 +126,46 @@ class TestMistakeAccumulator:
         acc.add_mistake(5.0, 4.0)
         assert acc.mistakes == 0
 
-    def test_open_episode_counts_into_snapshot(self):
-        acc = MistakeAccumulator(t_begin=0.0)
-        acc.open_mistake(8.0)
-        snap = acc.snapshot(10.0)
-        assert snap.mistakes == 1
-        assert snap.mistake_time == pytest.approx(2.0)
-        acc.close_mistake(9.0)
-        snap2 = acc.snapshot(10.0)
-        assert snap2.mistake_time == pytest.approx(1.0)
-
-    def test_double_open_is_idempotent(self):
-        acc = MistakeAccumulator(t_begin=0.0)
-        acc.open_mistake(1.0)
-        acc.open_mistake(2.0)
-        assert acc.mistakes == 1
-
     def test_rejects_nonfinite_detection_sample(self):
         acc = MistakeAccumulator(t_begin=0.0)
-        with pytest.raises(ConfigurationError):
-            acc.add_detection_sample(math.inf)
+        for bad in (math.nan, -math.inf):
+            with pytest.raises(ConfigurationError):
+                acc.add_detection_sample(bad)
+        assert acc.td_count == 0
 
     def test_snapshot_requires_elapsed_time(self):
         acc = MistakeAccumulator(t_begin=5.0)
         with pytest.raises(ConfigurationError):
             acc.snapshot(5.0)
 
-    def test_checkpoint_diff_isolates_window(self):
-        acc = MistakeAccumulator(t_begin=0.0)
-        acc.add_mistake(1.0, 2.0)
-        acc.add_detection_sample(0.5)
-        cp = acc.checkpoint(10.0)
-        acc.add_mistake(11.0, 13.0)
-        acc.add_detection_sample(0.7)
-        win = acc.snapshot_since(20.0, cp)
-        assert win is not None
-        assert win.mistakes == 1
-        assert win.mistake_time == pytest.approx(2.0)
-        assert win.detection_time == pytest.approx(0.7)
-        assert win.accounted_time == pytest.approx(10.0)
 
-    def test_snapshot_since_none_base_measures_from_begin(self):
-        acc = MistakeAccumulator(t_begin=2.0)
-        acc.add_detection_sample(0.1)
-        win = acc.snapshot_since(12.0, None)
-        assert win is not None
-        assert win.accounted_time == pytest.approx(10.0)
+class TestAccountArrival:
+    """The one streaming rule (DESIGN.md §5, one arrival at a time)."""
 
-    def test_snapshot_since_empty_window_is_none(self):
-        acc = MistakeAccumulator(t_begin=0.0)
-        cp = acc.checkpoint(5.0)
-        assert acc.snapshot_since(5.0, cp) is None
+    def test_first_call_starts_accounting_without_a_mistake(self):
+        acc = account_arrival(None, 10.0, 11.0, 9.9)
+        assert acc.t_begin == 10.0
+        assert acc.mistakes == 0
+        assert acc.td_count == 1
+        assert acc.detection_time == pytest.approx(1.1)
+
+    def test_late_arrival_is_one_mistake_from_the_guarding_fp(self):
+        acc = account_arrival(None, 0.0, 1.0, 0.0)
+        acc = account_arrival(acc, 1.5, 2.0, 1.5)  # FP 1.0 passed at 1.0
+        acc = account_arrival(acc, 1.9, 3.0, 1.9)  # on time
+        assert acc.mistakes == 1
+        assert acc.mistake_time == pytest.approx(0.5)
+
+    def test_degenerate_fp_clipped_at_its_arrival(self):
+        acc = account_arrival(None, 5.0, 4.0, 5.0)  # FP before its arrival
+        acc = account_arrival(acc, 7.0, 8.0, 7.0)
+        assert acc.mistake_time == pytest.approx(2.0)
+
+    def test_infinite_fp_never_mistaken_and_td_infinite(self):
+        acc = None
+        for a in (0.0, 100.0, 200.0):
+            acc = account_arrival(acc, a, math.inf, a)
+        report = acc.snapshot(200.0)
+        assert report.mistakes == 0
+        assert report.query_accuracy == 1.0
+        assert report.detection_time == math.inf

@@ -1,9 +1,10 @@
 """Repository hygiene guards.
 
 Tier-1 checks that keep structural regressions out of the tree: no
-compiled bytecode under version control, and no per-family ``isinstance``
+compiled bytecode under version control, no per-family ``isinstance``
 ladders creeping back into the replay package now that dispatch goes
-through :mod:`repro.detectors.registry`.
+through :mod:`repro.detectors.registry`, and no streaming host writing its
+own copy of the self-accounting rule or the slot close.
 """
 
 from __future__ import annotations
@@ -68,4 +69,28 @@ def test_no_isinstance_ladders_in_replay():
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
             if "isinstance(spec" in line:
                 offenders.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert not offenders, "\n".join(offenders)
+
+
+#: Call sites with one home under ``src/``: the accounting rule lives in
+#: ``repro.qos.metrics.account_arrival`` and the slot close in
+#: ``repro.core.feedback.FeedbackDriver``.  Every streaming host calls those
+#: two, so a host spelling the rule or the record out again is a fork.
+ONE_HOME = {
+    "add_mistake(": "repro/qos/metrics.py",
+    "add_detection_sample(": "repro/qos/metrics.py",
+    "MistakeAccumulator(": "repro/qos/metrics.py",
+    "TuningRecord(": "repro/core/feedback.py",
+}
+
+
+def test_one_accounting_rule_and_one_slot_close():
+    src = REPO / "src"
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        rel = path.relative_to(src).as_posix()
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            for needle, home in ONE_HOME.items():
+                if needle in line and rel != home:
+                    offenders.append(f"{rel}:{lineno}: {line.strip()}")
     assert not offenders, "\n".join(offenders)

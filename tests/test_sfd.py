@@ -209,33 +209,36 @@ class TestQoSSnapshot:
 class TestGeneralMethodEquivalence:
     """SFD == the general self-tuning method applied to Chen FD."""
 
-    def test_selftuned_chen_matches_sfd(self):
+    def test_selftuned_chen_matches_sfd(self, view_factory):
+        # Bit for bit, not approx: both hosts account through the shared
+        # rule and close their slots in the shared FeedbackDriver, on the
+        # same floats in the same order.
         req = QoSRequirements(
-            max_detection_time=0.5, max_mistake_rate=0.2, min_query_accuracy=0.9
+            max_detection_time=0.5, max_mistake_rate=0.2, min_query_accuracy=0.99
         )
-        view = late_view(n=800, late_every=7, lateness=0.3)
-        slot = SlotConfig(25)
-        sfd = SFD(req, sm1=0.02, alpha=0.1, beta=0.5, window_size=20, slot=slot)
-        mon = SelfTuningMonitor(
-            ChenFD(0.02, window_size=20),
-            "alpha",
-            req,
-            alpha=0.1,
-            beta=0.5,
-            slot=slot,
-        )
-        fps_sfd = stream_freshness(sfd, view)
-        fps_mon = np.full(len(view), np.nan)
-        for i, (s, a, st) in enumerate(
-            zip(view.seq, view.arrivals, view.send_times)
+        view = view_factory("WAN-1", n=6000, seed=2012)
+        last = float(view.arrivals[-1])
+        for slot in (
+            SlotConfig(25),
+            SlotConfig(40, horizon=3),
+            SlotConfig(30, reset_on_adjust=True, min_slots=2),
         ):
-            mon.observe(int(s), float(a), float(st))
-            if mon.ready:
-                fps_mon[i] = mon.freshness_point()
-        m = ~np.isnan(fps_sfd)
-        np.testing.assert_allclose(fps_sfd[m], fps_mon[m], rtol=0, atol=1e-9)
-        assert mon.knob_value == pytest.approx(sfd.safety_margin)
-        assert len(mon.tuning_trace) == len(sfd.tuning_trace)
+            sfd = SFD(req, sm1=0.02, alpha=0.1, beta=0.5, window_size=50, slot=slot)
+            mon = SelfTuningMonitor(
+                ChenFD(0.02, window_size=50),
+                "alpha",
+                req,
+                alpha=0.1,
+                beta=0.5,
+                slot=slot,
+            )
+            fps_sfd = stream_freshness(sfd, view)
+            fps_mon = stream_freshness(mon, view)
+            assert np.array_equal(fps_sfd, fps_mon, equal_nan=True), slot
+            assert sfd.tuning_trace, slot
+            assert mon.tuning_trace == sfd.tuning_trace, slot
+            assert mon.qos_snapshot(last) == sfd.qos_snapshot(last), slot
+            assert mon.knob_value == sfd.safety_margin, slot
 
     def test_unknown_knob_rejected(self):
         with pytest.raises(ConfigurationError):
