@@ -44,7 +44,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.errors import ConfigurationError, NotWarmedUpError, UnknownNodeError
+from repro.errors import (
+    ConfigurationError,
+    InfeasibleQoSError,
+    NotWarmedUpError,
+    UnknownNodeError,
+)
 from repro.detectors.base import FailureDetector, TimeoutFailureDetector
 from repro.qos.metrics import MistakeAccumulator, account_arrival
 from repro.qos.spec import QoSReport
@@ -423,6 +428,12 @@ class MembershipTable:
 
         Small sequence regressions (within the reorder window) are dropped
         as stale; large ones re-adopt the node as freshly restarted.
+
+        A self-tuning detector whose feedback loop gives up raises
+        :class:`~repro.errors.InfeasibleQoSError` at its slot close, after
+        it consumed the heartbeat.  The table books that heartbeat like
+        any accepted one (sequence, count, QoS accounting, status), so a
+        duplicate of it is dropped as stale, and then re-raises the error.
         """
         state = self._nodes.get(node_id)
         if state is None:
@@ -437,7 +448,11 @@ class MembershipTable:
                 return state
             self._mark_restarted(state)
         det = state.detector
-        det.observe(seq, arrival, send_time)
+        try:
+            det.observe(seq, arrival, send_time)
+            failure = None
+        except InfeasibleQoSError as exc:
+            failure = exc
         state.last_seq = seq
         state.last_arrival = arrival
         state.heartbeats += 1
@@ -454,6 +469,8 @@ class MembershipTable:
         if node_id not in self._expiry_la:
             heapq.heappush(self._expiry, (arrival, node_id))
             self._expiry_la[node_id] = arrival
+        if failure is not None:
+            raise failure
         return state
 
     def heartbeat_batch(

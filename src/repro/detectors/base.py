@@ -48,6 +48,12 @@ class FailureDetector(abc.ABC):
             Optional sender timestamp carried in the heartbeat; detectors
             must not rely on it for their decision (clocks are not
             synchronized) but may log it for statistics, as the paper does.
+
+        Invalid input raises before the heartbeat is consumed.  The one
+        error raised *after* it is consumed is a self-tuning detector's
+        :class:`~repro.errors.InfeasibleQoSError` from a slot close under
+        ``InfeasiblePolicy.RAISE``; hosts book the heartbeat, then let the
+        error surface.
         """
 
     @property

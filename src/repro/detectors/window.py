@@ -218,7 +218,8 @@ class HeartbeatWindow:
     estimates from the sampling window (Section IV-C2).
 
     Running sums over arrivals and sequence numbers make Chen's EA a pure
-    O(1) formula (see :class:`repro.detectors.estimation.ChenEstimator`).
+    O(1) formula (see :class:`repro.detectors.estimation.ChenEstimator`),
+    and ``Δt`` reads only the window's oldest and newest heartbeats.
     """
 
     __slots__ = (
@@ -309,7 +310,12 @@ class HeartbeatWindow:
         self._sum_seq = int(np.sum(seqs))
 
     def items(self) -> tuple[np.ndarray, np.ndarray]:
-        """(arrivals, sequences) of the live window, oldest first (copies)."""
+        """(arrivals, sequences) of the live window, oldest first.
+
+        Copies the ring (an ``np.roll`` once it has wrapped), so it serves
+        the periodic sum refresh and inspection only; nothing on the
+        per-heartbeat path calls it.
+        """
         if self._count < self._capacity:
             return self._arr[: self._count].copy(), self._seq[: self._count].copy()
         return (
@@ -335,14 +341,20 @@ class HeartbeatWindow:
         Estimated as the arrival span divided by the sequence span, which
         is robust to losses (a gap of g lost heartbeats contributes g+1
         sequence steps and the matching arrival gap).
+
+        O(1): the newest heartbeat is ``last_seq``/``last_arrival`` and
+        the oldest is one ring cell — index 0 while the window fills, the
+        next write slot once it has wrapped — so no copy is made.  The
+        operands and operations are those of the span over :meth:`items`,
+        so the result is bitwise equal to it.
         """
         if self._count < 2:
             raise NotWarmedUpError("need >= 2 heartbeats to estimate the interval")
-        arrs, seqs = self.items()
-        seq_span = int(seqs[-1] - seqs[0])
+        oldest = self._head if self._count == self._capacity else 0
+        seq_span = self._last_seq - int(self._seq[oldest])
         if seq_span <= 0:
             raise NotWarmedUpError("degenerate sequence span")
-        return float(arrs[-1] - arrs[0]) / seq_span
+        return (self._last_arrival - float(self._arr[oldest])) / seq_span
 
     def clear(self) -> None:
         self._count = 0

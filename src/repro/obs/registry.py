@@ -164,14 +164,20 @@ class Histogram:
         self.counts[self._index(v)] += 1
 
     def _index(self, v: float) -> int:
-        """Bucket index for ``v``, maintaining the hot-bucket cache:
-        stationary streams (heartbeat inter-arrivals) land in the same
-        bucket nearly every time, so the previous bucket is re-checked
-        before computing an index."""
+        """Bucket index for ``v``, maintaining the hot window.
+
+        Stationary streams (heartbeat inter-arrivals) land in the same one
+        or two buckets nearly every time, so the two buckets ``_hot`` and
+        ``_hot + 1`` — the range ``(bounds[_hot-1], bounds[_hot+1]]`` —
+        are checked before an index is computed.  Two, because a stream
+        centred on a bound (a 1 s or 100 ms heartbeat interval against
+        decade bounds) lands on both sides of it; a miss re-centres the
+        window on the bound nearest ``v``.  ``_hot == 0`` means no window.
+        """
         bounds = self.bounds
-        i = self._hot
-        if i and v <= bounds[i] and v > bounds[i - 1]:
-            return i
+        k = self._hot
+        if k and bounds[k - 1] < v <= bounds[k + 1]:
+            return k if v <= bounds[k] else k + 1
         if v <= bounds[0]:
             return 0
         if v > bounds[-1]:
@@ -186,7 +192,10 @@ class Histogram:
                 i += 1
         else:
             i = bisect_left(bounds, v)
-        self._hot = i
+        top = len(bounds) - 2  # highest window start with a real bucket above
+        if top >= 1:
+            k = i if v + v > bounds[i - 1] + bounds[i] else i - 1
+            self._hot = min(max(k, 1), top)
         return i
 
     def get(self) -> HistogramValue:
@@ -254,9 +263,9 @@ def heartbeat_fast_path(counter, histogram) -> "Callable[[float | None], None]":
                 return
             h.sum += delta
             h.count += 1
-            i = h._hot
-            if i and delta <= bounds[i] and delta > bounds[i - 1]:
-                counts[i] += 1
+            k = h._hot
+            if k and bounds[k - 1] < delta <= bounds[k + 1]:
+                counts[k if delta <= bounds[k] else k + 1] += 1
             else:
                 counts[h._index(delta)] += 1
 

@@ -98,19 +98,33 @@ class LiveMonitor:
 
     def _on_batch(self, batch: list[tuple[str, int, float, float]]) -> None:
         """One listener drain: feed the table heartbeat by heartbeat so
-        per-node instrumentation keeps its per-heartbeat resolution."""
+        per-node instrumentation keeps its per-heartbeat resolution.
+
+        A heartbeat whose detector raises does not cost the other nodes
+        theirs: the rest of the drain is applied and counted, and the
+        first error is re-raised after the loop, so the listener reports
+        it once per drain (:attr:`UDPHeartbeatListener.callback_errors`).
+        """
         heartbeat = self.table.heartbeat
         instruments = self.instruments
+        error: Exception | None = None
         for node_id, seq, arrival, send_time in batch:
             # The sender's wall stamp is NOT comparable to our monotonic
             # clock; detectors receive only the local arrival (Section
             # II-B: no synchronized clocks).
-            state = heartbeat(node_id, seq, arrival, send_time=None)
+            try:
+                state = heartbeat(node_id, seq, arrival, send_time=None)
+            except Exception as exc:
+                if error is None:
+                    error = exc
+                continue
             if instruments is not None:
                 instruments.record_heartbeat(
                     node_id, seq, send_time, arrival, detector=state.detector
                 )
         self.received += len(batch)
+        if error is not None:
+            raise error
 
     async def start(self) -> None:
         await self._listener.start()

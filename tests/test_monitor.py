@@ -7,6 +7,7 @@ math), and the status/summary/qos query surface.
 """
 
 import asyncio
+from collections import deque
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.errors import NotWarmedUpError, UnknownNodeError
 from repro.obs import Instruments
 from repro.qos.spec import QoSReport
 from repro.runtime import LiveMonitor
+from repro.runtime.udp import pack_heartbeat
 
 
 @pytest.fixture()
@@ -83,6 +85,64 @@ class TestWiring:
         assert snap.get("repro_heartbeats_received_total", "a") == 3.0
         # inter-arrival histogram saw the gaps (n-1 of them)
         assert snap.get("repro_heartbeat_interarrival_seconds", "a").count == 2
+
+
+class FakeSocket:
+    """Non-blocking socket stand-in for one drain: its datagrams, then
+    ``BlockingIOError``, as ``recvfrom`` on an emptied socket raises."""
+
+    def __init__(self, datagrams):
+        self._queue = deque(datagrams)
+
+    def recvfrom(self, _size):
+        if not self._queue:
+            raise BlockingIOError
+        return self._queue.popleft(), ("127.0.0.1", 0)
+
+
+class TestRaisingDetector:
+    """One node's detector raising mid-drain must not cost the other nodes
+    of that drain their heartbeats, nor leave the raising node's table
+    entry behind what its detector consumed."""
+
+    #: Node ``a`` arrives 0.5 s late on odd sequences; under these targets
+    #: its feedback loop gives up (``policy=raise``) at the slot close of
+    #: its seq-4 heartbeat, after the detector consumed it.
+    SPEC = "sfd:window=2,slot=2,td=0.0001,mr=0.0,qap=1.0,policy=raise"
+
+    def test_rest_of_drain_is_applied_and_error_counted_once(self):
+        drains = [
+            [("a", k, k + (0.5 if k % 2 else 0.0)), ("b", k, k + 0.001),
+             ("c", k, k + 0.002)]
+            for k in range(5)
+        ]
+        # Then a UDP duplicate of a's seq 4, drained with b's next beat.
+        drains.append([("a", 4, 4.6), ("b", 5, 5.001)])
+        stamps = iter([at for drain in drains for _, _, at in drain])
+        monitor = LiveMonitor(
+            self.SPEC, clock=lambda: next(stamps), account_qos=True
+        )
+        listener = monitor._listener
+        errors = []
+        for drain in drains:
+            listener._sock = FakeSocket(
+                pack_heartbeat(node, seq, 0.0) for node, seq, _ in drain
+            )
+            listener._drain()
+            errors.append(listener.callback_errors)
+        listener._sock = None
+
+        assert errors == [0, 0, 0, 0, 1, 1]
+        assert monitor.received == 17
+        for node, last_seq in (("a", 4), ("b", 5), ("c", 4)):
+            state = monitor.table.node(node)
+            assert state.last_seq == last_seq, node
+            assert state.heartbeats == state.detector.observed == last_seq + 1
+        a = monitor.table.node("a")
+        assert a.stale_dropped == 1
+        # The raising heartbeat was booked in full: the table's QoS
+        # accounting still equals the detector's own.
+        assert a.qos(5.0) == a.detector.qos_snapshot(5.0)
 
 
 class TestQueries:

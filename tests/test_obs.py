@@ -17,6 +17,7 @@ from repro.cluster.membership import NodeStatus
 from repro.core.sfd import SFD, SlotConfig
 from repro.detectors import PhiFD
 from repro.errors import ConfigurationError, UnknownNodeError
+from repro.obs.registry import Counter, heartbeat_fast_path
 from repro.obs import (
     CONTENT_TYPE,
     EventLog,
@@ -120,6 +121,19 @@ class TestRegistry:
         assert r.snapshot().values == {}
 
 
+def bisect_counts(bounds, values) -> list[int]:
+    """Reference bucket counts: bucket ``i`` holds ``(bounds[i-1], bounds[i]]``."""
+    ref = [0] * (len(bounds) + 1)
+    for v in values:
+        if v <= bounds[0]:
+            ref[0] += 1
+        elif v > bounds[-1]:
+            ref[-1] += 1
+        else:
+            ref[bisect_left(bounds, v)] += 1
+    return ref
+
+
 class TestHistogram:
     def test_geometric_index_matches_bisect(self):
         bounds = log_buckets(1e-4, 100.0, per_decade=3)
@@ -130,17 +144,50 @@ class TestHistogram:
         values += [b * (1 + 1e-12) for b in bounds[:-1]]
         for v in values:
             h.observe(v)
-        ref = [0] * (len(bounds) + 1)
-        for v in values:
-            if v <= bounds[0]:
-                ref[0] += 1
-            elif v > bounds[-1]:
-                ref[-1] += 1
-            else:
-                ref[bisect_left(bounds, v)] += 1
-        assert h.counts == ref
+        assert h.counts == bisect_counts(bounds, values)
         assert h.count == len(values)
         assert h.sum == pytest.approx(sum(values))
+
+    @pytest.mark.parametrize("edge", [0, 1, 9, 12, 19])
+    def test_stream_straddling_a_bound_matches_bisect(self, edge):
+        """A stream centred on a bound — a 100 ms or 1 s heartbeat
+        interval against decade bounds — lands on both sides of it.  On
+        the observe path and on the per-heartbeat fast path every value
+        still lands in its own bucket, next to the first bucket and the
+        overflow bucket too."""
+        bounds = log_buckets(1e-4, 100.0, per_decade=3)
+        b = bounds[edge]
+        rng = random.Random(edge)
+        values = [b * (1 + rng.uniform(-0.05, 0.05)) for _ in range(2000)]
+        values += [b, b * (1 + 1e-12), *bounds, bounds[-1] * 2.0] + values[:50]
+        h = Histogram(bounds)
+        fast = Histogram(bounds)
+        beat = heartbeat_fast_path(Counter(), fast)
+        for v in values:
+            h.observe(v)
+            beat(v)
+        assert h.counts == fast.counts == bisect_counts(bounds, values)
+
+    @pytest.mark.parametrize("edge", [2, 9, 12, 17])
+    def test_hot_window_serves_a_straddling_stream(self, edge, monkeypatch):
+        """Timing-free perf guard: once the first value has centred the
+        hot window on the bound, the fast path computes no index for a
+        stream on both sides of it."""
+        bounds = log_buckets(1e-4, 100.0, per_decade=3)
+        rng = random.Random(edge)
+        values = [bounds[edge] * (1 + rng.uniform(-0.05, 0.05)) for _ in range(500)]
+        fast = Histogram(bounds)
+        beat = heartbeat_fast_path(Counter(), fast)
+        beat(values[0])
+        computed = []
+        real = Histogram._index
+        monkeypatch.setattr(
+            Histogram, "_index", lambda self, v: computed.append(v) or real(self, v)
+        )
+        for v in values[1:]:
+            beat(v)
+        assert computed == []
+        assert fast.counts == bisect_counts(bounds, values)
 
     def test_cumulative_view(self):
         h = Histogram((1.0, 2.0, 4.0))

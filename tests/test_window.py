@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core import SFD
+from repro.core.tuning import SelfTuningMonitor
+from repro.detectors import BertierFD, ChenFD
 from repro.errors import ConfigurationError, NotWarmedUpError
 from repro.detectors.window import (
     RECOMPUTE_EVERY,
@@ -10,6 +14,7 @@ from repro.detectors.window import (
     SampleWindow,
     SortedWindow,
 )
+from repro.qos.spec import QoSRequirements
 
 
 class TestSampleWindow:
@@ -187,3 +192,94 @@ class TestHeartbeatWindow:
         assert len(w) == 0
         w.push(0, 5.0)  # sequence restriction resets too
         assert w.last_seq == 0
+
+
+def interval_from_items(w: HeartbeatWindow) -> float:
+    """Reference ``Δt``: the arrival span over the sequence span, with
+    both ends read from a copy of the window (:meth:`HeartbeatWindow.items`)."""
+    arrs, seqs = w.items()
+    seq_span = int(seqs[-1] - seqs[0])
+    return float(arrs[-1] - arrs[0]) / seq_span
+
+
+#: One stream step: a heartbeat ``(sequence gap, arrival step)``, or a
+#: ``clear()``.  Arrival steps include exact ties and sub-ulp steps at a
+#: large clock offset.
+stream_steps = st.one_of(
+    st.tuples(
+        st.integers(1, 5),
+        st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.sampled_from((1e-12, 0.1))),
+    ),
+    st.just("clear"),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    capacity=st.integers(2, 12),
+    start=st.sampled_from((0.0, 1.0, 1.7e9)),
+    steps=st.lists(stream_steps, min_size=2, max_size=80),
+)
+def test_interval_estimate_bitwise_equals_items_formula(capacity, start, steps):
+    w = HeartbeatWindow(capacity)
+    seq, arrival = -1, start
+    for step in steps:
+        if step == "clear":
+            w.clear()
+            continue
+        gap, dt = step
+        seq += gap
+        arrival += dt
+        w.push(seq, arrival)
+        if len(w) >= 2:
+            assert w.interval_estimate() == interval_from_items(w)
+
+
+class TestSteadyObserveCopiesNothing:
+    """Timing-free perf guard: a warmed-up Chen-family ``observe`` reads
+    the window in O(1) and never copies it.
+
+    Counts calls to :meth:`HeartbeatWindow.items` and ``np.roll`` over 200
+    steady-state heartbeats; one copy per heartbeat is what made the
+    windowed ``Δt`` the most expensive stage of the live plane.
+    """
+
+    REQ = QoSRequirements(
+        max_detection_time=5.0, max_mistake_rate=100.0, min_query_accuracy=0.0
+    )
+
+    @classmethod
+    def build(cls, family: str, window: int):
+        if family == "chen":
+            return ChenFD(0.1, window_size=window)
+        if family == "bertier":
+            return BertierFD(window_size=window)
+        if family == "sfd":
+            return SFD(cls.REQ, window_size=window)
+        return SelfTuningMonitor(ChenFD(0.1, window_size=window), "alpha", cls.REQ)
+
+    @pytest.mark.parametrize("window", [5, 1000])
+    @pytest.mark.parametrize("family", ["chen", "bertier", "sfd", "tuned-chen"])
+    def test_no_window_copy_per_heartbeat(self, family, window, monkeypatch):
+        det = self.build(family, window)
+        for seq in range(3 * window + 20):  # warm up past a wrapped ring
+            det.observe(seq, 0.1 * seq)
+        assert det.ready
+
+        calls = []
+        real_items, real_roll = HeartbeatWindow.items, np.roll
+
+        def items(self):
+            calls.append("items")
+            return real_items(self)
+
+        def roll(*args, **kwargs):
+            calls.append("roll")
+            return real_roll(*args, **kwargs)
+
+        monkeypatch.setattr(HeartbeatWindow, "items", items)
+        monkeypatch.setattr(np, "roll", roll)
+        for seq in range(seq + 1, seq + 201):
+            det.observe(seq, 0.1 * seq + 0.001 * (seq % 7))
+        assert calls == []
+        assert det.freshness_point() > 0.1 * seq
