@@ -50,8 +50,9 @@ def run():
         prof = profile_with_interval(dt)
         trace = synthesize(prof, n=prof.n_heartbeats, seed=SEED)
         sweeper = ChenSweeper(trace.monitor_view(), window=500)
-        # Invert TD(alpha) = td_base + alpha at the matched target.
-        alpha = max(TD_TARGET - sweeper._td_base, 1e-6)
+        # Invert TD(alpha) = TD(0) + alpha at the matched target.
+        td_base = sweeper.qos_at(0.0).detection_time
+        alpha = max(TD_TARGET - td_base, 1e-6)
         out[dt] = (alpha, sweeper.qos_at(alpha))
     return out
 

@@ -1,39 +1,39 @@
-"""Exact multi-parameter Chen sweeps in one pass.
+"""Exact multi-parameter sweeps of affine-margin detectors in one pass.
 
-Sweeping Chen's margin α replays the same trace once per value, yet for
-this detector the entire curve is a function of two fixed arrays: the
-prediction *residuals* ``resid[r] = A[r+1] − EA[r]`` and the inter-arrival
-gaps ``gap[r] = A[r+1] − A[r]``.  For any α (DESIGN.md §5 semantics):
+Sweeping a detector's margin replays the same trace once per value, yet
+when the freshness point is ``FP[r] = base[r] + m·scale[r]`` the entire
+curve is a function of fixed arrays: the prediction *residuals*
+``resid[r] = A[r+1] − base[r]``, the inter-arrival gaps
+``gap[r] = A[r+1] − A[r]`` and the strictly positive scale ``s[r]``.  For
+any margin ``m`` (DESIGN.md §5 semantics):
 
-* a wrong suspicion occurs at ``r`` iff ``resid[r] > α`` and ``gap[r] > 0``
-  (suspicion can only start once the freshness point was computed, hence
-  the clip at ``A[r]``);
-* its duration is ``min(resid[r] − α, gap[r])``, i.e.
-  ``(resid−α)₊ − (resid−gap−α)₊``;
-* the detection time is exactly ``mean(EA − send) + α``.
+* a wrong suspicion occurs at ``r`` iff ``resid[r] > m·s[r]`` and
+  ``gap[r] > 0`` (suspicion can only start once the freshness point was
+  computed, hence the clip at ``A[r]``);
+* its duration is ``min(resid[r] − m·s[r], gap[r])``, i.e.
+  ``(resid−m·s)₊ − (resid−gap−m·s)₊``;
+* the detection time is exactly ``mean(base − send) + m·mean(s)``.
 
-Sorting ``resid`` and ``z = resid − gap`` once gives every α's mistake
-count and total duration by binary search over prefix sums — the whole
-K-point curve in ``O(n log n + K log n)`` instead of ``O(n·K)``.  The
-result is *bit-compatible in exact arithmetic* with
-``sweep_curve("chen", ...)`` (the test suite asserts tight
-numerical agreement), and it is what makes dense planning sweeps
-(:func:`repro.qos.planner.plan_chen_alpha`) essentially free.
+Dividing through by the scale turns the mistake test into
+``resid/s > m``, so sorting ``resid`` and ``z = resid − gap`` by that
+ratio once, with suffix sums of the numerator and of the scale
+(:class:`_Survival`), gives every margin's mistake count and total
+duration by binary search — the whole K-point curve in
+``O(n log n + K log n)`` instead of ``O(n·K)``.
 
-The learned ``ml`` family admits the same trick with one twist: its
-margin multiplies a *per-heartbeat* scale ``s[r] = jitter[r] + floor``
-rather than adding a constant, so a mistake at ``r`` means
-``resid[r] > m·s[r]``.  Dividing through by the (strictly positive)
-scale reduces it to the Chen survival problem over the *ratios*
-``resid/s``, with suffix sums of both the numerator and the scale
-(:class:`_ScaledSurvival`) — still O(log n) per margin after one
-O(n)-ish model pass.
+Chen's α is the unit-scale case: ``base`` is Chen's ``EA`` and ``s ≡ 1``
+(:class:`ChenSweeper`).  The learned ``ml`` family has ``base = A + ŷ``
+and ``s = jitter + ML_JITTER_FLOOR`` (:class:`MLSweeper`).  Results are
+*bit-compatible in exact arithmetic* with ``sweep_curve(...)`` (the test
+suite asserts tight numerical agreement), and they are what make dense
+planning sweeps (:func:`repro.qos.planner.plan_chen_alpha`) essentially
+free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,113 +47,18 @@ from repro.traces.trace import MonitorView
 __all__ = ["ChenSweeper", "fast_chen_curve", "MLSweeper", "fast_ml_curve"]
 
 
+def _suffix_sums(values: np.ndarray) -> np.ndarray:
+    """``out[i] = Σ values[i:]``, with a trailing 0 for the empty tail."""
+    return np.concatenate((np.cumsum(values[::-1])[::-1], [0.0]))
+
+
 @dataclass(frozen=True)
 class _Survival:
-    """Sorted samples + suffix sums: O(log n) tail counts and (v−α)₊ sums."""
-
-    sorted_values: np.ndarray
-    suffix_sum: np.ndarray  # suffix_sum[i] = sum(sorted_values[i:])
-
-    @classmethod
-    def of(cls, values: np.ndarray) -> "_Survival":
-        v = np.sort(np.asarray(values, dtype=np.float64))
-        suf = np.concatenate((np.cumsum(v[::-1])[::-1], [0.0]))
-        return cls(sorted_values=v, suffix_sum=suf)
-
-    def tail_count(self, alpha: float) -> int:
-        """#{v > alpha}"""
-        return int(
-            self.sorted_values.size
-            - np.searchsorted(self.sorted_values, alpha, side="right")
-        )
-
-    def tail_excess(self, alpha: float) -> float:
-        """Σ (v − alpha)₊"""
-        i = int(np.searchsorted(self.sorted_values, alpha, side="right"))
-        n_tail = self.sorted_values.size - i
-        return float(self.suffix_sum[i] - alpha * n_tail)
-
-
-class ChenSweeper:
-    """Precomputed state for arbitrarily many Chen-α evaluations.
-
-    Build once per (view, window); then :meth:`qos_at` is O(log n) per α
-    and :meth:`curve` produces a :class:`~repro.qos.area.QoSCurve`
-    identical to the replay-based sweep.
-    """
-
-    def __init__(
-        self,
-        view: MonitorView,
-        *,
-        window: int = 1000,
-        nominal_interval: float | None = None,
-    ):
-        if len(view) <= max(window, 2):
-            raise ConfigurationError(
-                f"view has {len(view)} heartbeats; need more than {max(window, 2)}"
-            )
-        self.window = window
-        r0 = max(window, 2) - 1
-        ea = chen_expected_arrivals(view, window, nominal_interval)
-        arrivals = view.arrivals
-        # Guarded pairs: r in [r0, R-2]; plus the trailing TD sample.
-        ea_g = ea[r0:-1]
-        resid = arrivals[r0 + 1 :] - ea_g
-        gap = arrivals[r0 + 1 :] - arrivals[r0:-1]
-        mask = gap > 0.0
-        self._resid = _Survival.of(resid[mask])
-        self._z = _Survival.of((resid - gap)[mask])
-        self._td_base = float(np.mean(ea[r0:] - view.send_times[r0:]))
-        self._samples = int(arrivals.size - r0)
-        self._t_begin = float(arrivals[r0])
-        self._t_end = float(arrivals[-1])
-
-    def qos_at(self, alpha: float) -> QoSReport:
-        """Exact replay QoS of Chen FD at margin ``alpha``."""
-        if alpha < 0:
-            raise ConfigurationError(f"alpha must be >= 0, got {alpha!r}")
-        total = self._t_end - self._t_begin
-        mistakes = self._resid.tail_count(alpha)
-        mistake_time = self._resid.tail_excess(alpha) - self._z.tail_excess(alpha)
-        mistake_time = min(max(mistake_time, 0.0), total)
-        return QoSReport(
-            detection_time=self._td_base + alpha,
-            mistake_rate=mistakes / total,
-            query_accuracy=1.0 - mistake_time / total,
-            mistakes=mistakes,
-            mistake_time=mistake_time,
-            accounted_time=total,
-            samples=self._samples,
-        )
-
-    def curve(self, alphas: Sequence[float]) -> QoSCurve:
-        out = QoSCurve("chen")
-        for a in alphas:
-            out.add(float(a), self.qos_at(float(a)))
-        return out
-
-
-def fast_chen_curve(
-    view: MonitorView,
-    alphas: Sequence[float],
-    *,
-    window: int = 1000,
-    nominal_interval: float | None = None,
-) -> QoSCurve:
-    """Drop-in fast equivalent of ``sweep_curve("chen", ...)``."""
-    return ChenSweeper(
-        view, window=window, nominal_interval=nominal_interval
-    ).curve(alphas)
-
-
-@dataclass(frozen=True)
-class _ScaledSurvival:
     """Samples sorted by ``num/scale``: O(log n) tails of ``(num − m·scale)₊``.
 
     ``scale`` must be strictly positive, so ``num − m·scale > 0`` exactly
-    when the ratio exceeds ``m`` — the per-sample scale version of
-    :class:`_Survival`.
+    when the ratio exceeds ``m``.  ``scale=None`` is the unit scale: a
+    plain sort of ``num``, whose scale suffix sums are the tail counts.
     """
 
     sorted_ratio: np.ndarray
@@ -161,17 +66,21 @@ class _ScaledSurvival:
     suffix_scale: np.ndarray  # suffix_scale[i] = Σ scale[order][i:]
 
     @classmethod
-    def of(cls, num: np.ndarray, scale: np.ndarray) -> "_ScaledSurvival":
+    def of(cls, num: np.ndarray, scale: np.ndarray | None) -> "_Survival":
         num = np.asarray(num, dtype=np.float64)
-        scale = np.asarray(scale, dtype=np.float64)
-        ratio = num / scale
-        order = np.argsort(ratio, kind="stable")
-        n_sorted = num[order]
-        s_sorted = scale[order]
+        if scale is None:
+            ratio = n_sorted = np.sort(num)
+            suffix_scale = np.arange(num.size, -1, -1, dtype=np.float64)
+        else:
+            scale = np.asarray(scale, dtype=np.float64)
+            ratio = num / scale
+            order = np.argsort(ratio, kind="stable")
+            ratio, n_sorted = ratio[order], num[order]
+            suffix_scale = _suffix_sums(scale[order])
         return cls(
-            sorted_ratio=ratio[order],
-            suffix_num=np.concatenate((np.cumsum(n_sorted[::-1])[::-1], [0.0])),
-            suffix_scale=np.concatenate((np.cumsum(s_sorted[::-1])[::-1], [0.0])),
+            sorted_ratio=ratio,
+            suffix_num=_suffix_sums(n_sorted),
+            suffix_scale=suffix_scale,
         )
 
     def tail_count(self, m: float) -> int:
@@ -187,23 +96,24 @@ class _ScaledSurvival:
         return float(self.suffix_num[i] - m * self.suffix_scale[i])
 
 
-class MLSweeper:
-    """Precomputed state for arbitrarily many ml-margin evaluations.
+class _AffineSweeper:
+    """Precomputed state for arbitrarily many margin evaluations.
 
-    One pass of the online predictor fixes the prediction and jitter
-    arrays; every margin of the sweep then reduces to survival-function
-    lookups over the scaled residuals, exactly like :class:`ChenSweeper`
-    but with the margin multiplying the learned per-heartbeat scale
-    ``s[r] = jitter[r] + ML_JITTER_FLOOR`` instead of adding a constant.
+    Subclasses name their ``family`` and ``sweep_param`` and supply
+    ``affine() -> (base, scale)`` from the stage their family's kernel
+    computes (``scale=None`` is the unit scale); then :meth:`qos_at` is
+    O(log n) per margin and :meth:`curve` produces a
+    :class:`~repro.qos.area.QoSCurve` identical to the replay-based sweep.
     """
+
+    family: str
+    sweep_param: str
 
     def __init__(
         self,
         view: MonitorView,
-        *,
-        lr: float = 0.05,
-        window: int = 16,
-        decay: float = 0.1,
+        window: int,
+        affine: Callable[[], tuple[np.ndarray, np.ndarray | None]],
     ):
         r0 = max(window, 2) - 1
         if len(view) <= r0 + 1:
@@ -211,28 +121,27 @@ class MLSweeper:
                 f"view has {len(view)} heartbeats; need more than {r0 + 1}"
             )
         self.window = window
-        pred, jit = ml_prediction_arrays(view, lr=lr, window=window, decay=decay)
+        base, scale = affine()
         arrivals = view.arrivals
-        scale = jit + ML_JITTER_FLOOR
         # Guarded pairs: r in [r0, R-2]; plus the trailing TD sample.
-        resid = arrivals[r0 + 1 :] - (arrivals[r0:-1] + pred[r0:-1])
+        resid = arrivals[r0 + 1 :] - base[r0:-1]
         gap = arrivals[r0 + 1 :] - arrivals[r0:-1]
-        scale_g = scale[r0:-1]
         mask = gap > 0.0
-        self._resid = _ScaledSurvival.of(resid[mask], scale_g[mask])
-        self._z = _ScaledSurvival.of((resid - gap)[mask], scale_g[mask])
-        self._td_base = float(
-            np.mean(arrivals[r0:] + pred[r0:] - view.send_times[r0:])
-        )
-        self._scale_mean = float(np.mean(scale[r0:]))
+        scale_g = None if scale is None else scale[r0:-1][mask]
+        self._resid = _Survival.of(resid[mask], scale_g)
+        self._z = _Survival.of((resid - gap)[mask], scale_g)
+        self._td_base = float(np.mean(base[r0:] - view.send_times[r0:]))
+        self._scale_mean = 1.0 if scale is None else float(np.mean(scale[r0:]))
         self._samples = int(arrivals.size - r0)
         self._t_begin = float(arrivals[r0])
         self._t_end = float(arrivals[-1])
 
     def qos_at(self, margin: float) -> QoSReport:
-        """Exact replay QoS of the ml FD at the given margin."""
+        """Exact replay QoS of this family at the given margin."""
         if margin < 0:
-            raise ConfigurationError(f"margin must be >= 0, got {margin!r}")
+            raise ConfigurationError(
+                f"{self.sweep_param} must be >= 0, got {margin!r}"
+            )
         total = self._t_end - self._t_begin
         mistakes = self._resid.tail_count(margin)
         mistake_time = self._resid.tail_excess(margin) - self._z.tail_excess(
@@ -250,10 +159,72 @@ class MLSweeper:
         )
 
     def curve(self, margins: Sequence[float]) -> QoSCurve:
-        out = QoSCurve("ml")
+        out = QoSCurve(self.family)
         for m in margins:
             out.add(float(m), self.qos_at(float(m)))
         return out
+
+
+class ChenSweeper(_AffineSweeper):
+    """Chen-α sweeps: ``FP = EA + α``, the unit-scale affine case.
+
+    Build once per (view, window); then :meth:`qos_at` is O(log n) per α.
+    """
+
+    family = "chen"
+    sweep_param = "alpha"
+
+    def __init__(
+        self,
+        view: MonitorView,
+        *,
+        window: int = 1000,
+        nominal_interval: float | None = None,
+    ):
+        super().__init__(
+            view,
+            window,
+            lambda: (chen_expected_arrivals(view, window, nominal_interval), None),
+        )
+
+
+def fast_chen_curve(
+    view: MonitorView,
+    alphas: Sequence[float],
+    *,
+    window: int = 1000,
+    nominal_interval: float | None = None,
+) -> QoSCurve:
+    """Drop-in fast equivalent of ``sweep_curve("chen", ...)``."""
+    return ChenSweeper(
+        view, window=window, nominal_interval=nominal_interval
+    ).curve(alphas)
+
+
+class MLSweeper(_AffineSweeper):
+    """ml-margin sweeps: ``FP = A + ŷ + m·(jitter + ML_JITTER_FLOOR)``.
+
+    One pass of the online predictor fixes the prediction and jitter
+    arrays; every margin of the sweep then reduces to survival-function
+    lookups over the scaled residuals.
+    """
+
+    family = "ml"
+    sweep_param = "margin"
+
+    def __init__(
+        self,
+        view: MonitorView,
+        *,
+        lr: float = 0.05,
+        window: int = 16,
+        decay: float = 0.1,
+    ):
+        def affine():
+            pred, jit = ml_prediction_arrays(view, lr=lr, window=window, decay=decay)
+            return view.arrivals + pred, jit + ML_JITTER_FLOOR
+
+        super().__init__(view, window, affine)
 
 
 def fast_ml_curve(

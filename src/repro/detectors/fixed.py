@@ -36,14 +36,23 @@ class FixedTimeoutFD(TimeoutFailureDetector):
         if timeout <= 0:
             raise ConfigurationError(f"timeout must be > 0, got {timeout!r}")
         super().__init__(warmup=warmup)
-        self.fixed_timeout = float(timeout)
-        self.freshness_offset = self.fixed_timeout
+        self.freshness_offset = float(timeout)
+
+    @property
+    def fixed_timeout(self) -> float:
+        """The constant interval: a tunable knob stored once, as
+        ``freshness_offset``, which batch ingest lanes read directly."""
+        return self.freshness_offset
+
+    @fixed_timeout.setter
+    def fixed_timeout(self, value: float) -> None:
+        self.freshness_offset = float(value)
 
     def _ingest(self, seq: int, arrival: float, send_time: float | None) -> None:
         pass  # stateless beyond the base's last-arrival tracking
 
     def _next_freshness(self) -> float:
-        return self.last_arrival + self.fixed_timeout
+        return self.last_arrival + self.freshness_offset
 
     def reset(self) -> None:
         self._observed = 0

@@ -17,22 +17,20 @@ binds together everything the rest of the library needs to host a family:
 * a spec-string parser (``"phi:threshold=4.0,window=10"``) for CLI flags
   and config files.
 
-Kernels may be *stage-aware*.  A sweep varies one parameter while the
-rest of the spec stays fixed, and most families spend nearly all their
-time on work that parameter never touches (Chen's expected arrivals,
-the NLMS predictor pass, the sorted quantile window).  A kernel that
-accepts ``prepared`` (a :class:`PreparedStage`) asks it for that work
-and gets the copy the first grid point of its sweep group computed::
+Every kernel is ``kernel(view, spec, prepared)``.  A sweep varies one
+parameter while the rest of the spec stays fixed, and most families spend
+nearly all their time on work that parameter never touches (Chen's
+expected arrivals, the NLMS predictor pass, the sorted quantile window).
+``prepared`` (a :class:`PreparedStage`) holds that work for one sweep
+group: the first grid point builds it and every later one reuses it::
 
-    def kernel(view, spec, prepared=None):
-        stage = staged(prepared, spec, lambda specs: expensive(view, spec.window))
+    def kernel(view, spec, prepared):
+        stage = prepared.stage(lambda specs: expensive(view, spec.window))
         return KernelRun(cheap(stage, spec.value))
 
-``staged`` builds the stage from ``(spec,)`` when no holder is given, so
-a single :func:`~repro.replay.engine.replay` runs the same code as a
-sweep.  Kernels written as ``kernel(view, spec)`` keep working: callers
-pass ``prepared`` only where the signature takes it
-(:func:`takes_keyword`).
+A lone :func:`~repro.replay.engine.replay` passes ``PreparedStage((spec,))``,
+so it runs the same code as a sweep.  A kernel with nothing to share
+takes ``prepared`` and ignores it.
 
 Consumers dispatch through :func:`get` / :func:`get_for_spec` instead of
 hard-coding families: the replay engine looks up the kernel, the sweep
@@ -53,7 +51,6 @@ acyclic.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
@@ -98,8 +95,6 @@ from repro.traces.trace import MonitorView
 __all__ = [
     "KernelRun",
     "PreparedStage",
-    "staged",
-    "takes_keyword",
     "DetectorFamily",
     "register",
     "unregister",
@@ -137,9 +132,9 @@ class PreparedStage:
     """Lazy holder of one sweep group's parameter-independent stage.
 
     A sweep group is every grid point of one sweep over one trace: the
-    specs differ only in the swept parameter.  The first stage-aware
-    kernel call computes the stage with :meth:`stage`; every later member
-    of the group gets the cached object.  A stage is a deterministic
+    specs differ only in the swept parameter.  The first kernel call
+    computes the stage with :meth:`stage`; every later member of the
+    group gets the cached object.  A stage is a deterministic
     function of the view and the group's specs, so attempts that retry or
     race on the same holder see equal values.  :meth:`release` drops the
     stage once the group is done.
@@ -159,33 +154,6 @@ class PreparedStage:
 
     def release(self) -> None:
         self._stage = _UNBUILT
-
-
-def staged(
-    prepared: PreparedStage | None, spec: Any, build: Callable[[tuple], Any]
-) -> Any:
-    """``build``'s stage through ``prepared``, or from ``(spec,)`` alone."""
-    if prepared is None:
-        return build((spec,))
-    return prepared.stage(build)
-
-
-def takes_keyword(fn: Callable, name: str) -> bool:
-    """Whether ``fn`` accepts keyword argument ``name`` (or ``**kwargs``).
-
-    Wrappers that set ``__wrapped__`` are judged by the function they wrap.
-    """
-    try:
-        params = inspect.signature(fn).parameters
-    except (TypeError, ValueError):  # pragma: no cover - builtins/C funcs
-        return False
-    param = params.get(name)
-    if param is not None:
-        return param.kind in (
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-            inspect.Parameter.KEYWORD_ONLY,
-        )
-    return any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values())
 
 
 def _coerce_value(raw: str) -> Any:
@@ -226,10 +194,11 @@ class DetectorFamily:
         The frozen replay spec dataclass (must expose ``to_dict`` /
         ``from_dict`` and a ``parameter`` property).
     kernel:
-        ``kernel(view, spec) -> KernelRun``: the closed-form vectorized
-        freshness computation replay dispatches to.  A kernel that also
-        takes ``prepared=None`` shares its parameter-independent stage
-        across a sweep group (see :class:`PreparedStage`).
+        ``kernel(view, spec, prepared) -> KernelRun``: the closed-form
+        vectorized freshness computation replay dispatches to.
+        ``prepared`` is the sweep group's :class:`PreparedStage`; the
+        kernel gets its parameter-independent stage from
+        ``prepared.stage(build)``, or ignores it when it has none.
     default_grid:
         Default sweep values, aggressive → conservative (Section V).
     sweep_param:
@@ -251,7 +220,7 @@ class DetectorFamily:
     summary: str
     streaming_cls: type[FailureDetector]
     spec_cls: type
-    kernel: Callable[[MonitorView, Any], KernelRun]
+    kernel: Callable[[MonitorView, Any, PreparedStage], KernelRun]
     default_grid: tuple[float, ...]
     sweep_param: str | None
     build: Callable[[Any], FailureDetector]
@@ -344,13 +313,15 @@ def _chen_stage(view: MonitorView, spec) -> Callable[[tuple], np.ndarray]:
 
 
 def _chen_kernel(
-    view: MonitorView, spec: ChenSpec, prepared: PreparedStage | None = None
+    view: MonitorView, spec: ChenSpec, prepared: PreparedStage
 ) -> KernelRun:
-    ea = staged(prepared, spec, _chen_stage(view, spec))
+    ea = prepared.stage(_chen_stage(view, spec))
     return KernelRun(chen_evaluate(ea, spec.alpha))
 
 
-def _bertier_kernel(view: MonitorView, spec: BertierSpec) -> KernelRun:
+def _bertier_kernel(
+    view: MonitorView, spec: BertierSpec, prepared: PreparedStage
+) -> KernelRun:
     return KernelRun(
         bertier_freshness(
             view,
@@ -364,48 +335,46 @@ def _bertier_kernel(view: MonitorView, spec: BertierSpec) -> KernelRun:
 
 
 def _phi_kernel(
-    view: MonitorView, spec: PhiSpec, prepared: PreparedStage | None = None
+    view: MonitorView, spec: PhiSpec, prepared: PreparedStage
 ) -> KernelRun:
-    stage = staged(prepared, spec, lambda specs: phi_stage(view, spec.window))
+    stage = prepared.stage(lambda specs: phi_stage(view, spec.window))
     return KernelRun(phi_evaluate(stage, spec.threshold))
 
 
 def _quantile_kernel(
-    view: MonitorView, spec: QuantileSpec, prepared: PreparedStage | None = None
+    view: MonitorView, spec: QuantileSpec, prepared: PreparedStage
 ) -> KernelRun:
-    stage = staged(
-        prepared,
-        spec,
+    stage = prepared.stage(
         lambda specs: quantile_stage(
             view, [s.quantile for s in specs], window=spec.window
-        ),
+        )
     )
     return KernelRun(quantile_evaluate(view, stage, spec.quantile))
 
 
-def _fixed_kernel(view: MonitorView, spec: FixedSpec) -> KernelRun:
+def _fixed_kernel(
+    view: MonitorView, spec: FixedSpec, prepared: PreparedStage
+) -> KernelRun:
     return KernelRun(fixed_freshness(view, spec.timeout))
 
 
 def _ml_kernel(
-    view: MonitorView, spec: MLSpec, prepared: PreparedStage | None = None
+    view: MonitorView, spec: MLSpec, prepared: PreparedStage
 ) -> KernelRun:
-    stage = staged(
-        prepared,
-        spec,
+    stage = prepared.stage(
         lambda specs: ml_prediction_arrays(
             view, lr=spec.lr, window=spec.window, decay=spec.decay
-        ),
+        )
     )
     return KernelRun(ml_evaluate(view, stage, spec.margin))
 
 
 def _sfd_kernel(
-    view: MonitorView, spec: SFDSpec, prepared: PreparedStage | None = None
+    view: MonitorView, spec: SFDSpec, prepared: PreparedStage
 ) -> KernelRun:
     run = sfd_evaluate(
         view,
-        staged(prepared, spec, _chen_stage(view, spec)),
+        prepared.stage(_chen_stage(view, spec)),
         spec.requirements,
         sm1=spec.sm1,
         alpha=spec.alpha,

@@ -109,7 +109,7 @@ class ChaosSchedule:
 
 
 def chaos_worker(
-    job: ReplayJob, attempt: int = 0, prepared=None, *, schedule: ChaosSchedule
+    job: ReplayJob, attempt: int, prepared, *, schedule: ChaosSchedule
 ):
     """One job of a worker task, wrapped in chaos.
 
@@ -158,7 +158,7 @@ class FlakyExecutor(SerialExecutor):
                 )
         return super().run(jobs, views, **kwargs)
 
-    def _call(self, job, view, instruments, attempt, prepared=None):
+    def _call(self, job, view, instruments, attempt, prepared):
         fault = self.schedule.fate(job.index, attempt)
         if fault is not None:
             if fault.kind == "timeout":

@@ -461,7 +461,7 @@ class _MergeExecutor:
 
     jobs = 0  # advertised fan-out: merge replays nothing
 
-    def run(self, jobs, views, *, instruments=None):
+    def run(self, jobs, views, *, instruments, policy, on_result):
         named = "; ".join(j.describe() for j in jobs[:3])
         raise ConfigurationError(
             f"merge: {len(jobs)} grid point(s) missing from the cache "

@@ -1,10 +1,10 @@
 """Pluggable executors: run a plan's jobs serially or across processes.
 
-The contract: ``run(jobs, views, instruments=None, policy=None,
-on_result=None)`` takes the flat :class:`~repro.exp.plan.ReplayJob` list
-plus the plan's named :class:`~repro.traces.trace.MonitorView`\\ s and
-returns an :class:`~repro.exp.policy.ExecutionResult` — ``{job.index:
-QoSReport}`` for everything that completed, plus the
+The one contract: ``run(jobs, views, *, instruments, policy, on_result)``
+takes the flat :class:`~repro.exp.plan.ReplayJob` list plus the plan's
+named :class:`~repro.traces.trace.MonitorView`\\ s and returns an
+:class:`~repro.exp.policy.ExecutionResult` — ``{job.index: QoSReport}``
+for everything that completed, plus the
 :class:`~repro.exp.policy.JobFailure` records of anything quarantined.
 Completion order is irrelevant — the plan reassembles curves by index —
 so :class:`ProcessPoolExecutor` is free to fan work out across every
@@ -18,7 +18,9 @@ The unit of execution is a *sweep group*: the pending jobs that share
 parameter, so every member can reuse one
 :class:`~repro.detectors.registry.PreparedStage` — the kernel work that
 parameter never touches is done once per group, not once per point.
-Results, failures and cache entries stay per job.
+Every job runs through one body, ``_execute(job, view, instruments,
+prepared)``, with its group's stage.  Results, failures and cache
+entries stay per job.
 
 Process fan-out uses the ``fork`` start method where available (Linux,
 the benchmark environment): the view table travels to each worker as
@@ -77,7 +79,7 @@ from concurrent import futures
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Mapping
 
-from repro.detectors.registry import PreparedStage, takes_keyword
+from repro.detectors.registry import PreparedStage
 from repro.errors import ReproError
 from repro.exp.plan import ReplayJob
 from repro.exp.policy import ExecutionResult, FailurePolicy, JobFailure
@@ -159,25 +161,11 @@ def default_jobs() -> int:
 def _execute(
     job: ReplayJob,
     view: MonitorView | TraceStore,
-    instruments=None,
-    prepared: PreparedStage | None = None,
+    instruments,
+    prepared: PreparedStage,
 ) -> QoSReport:
     """The one shared job body — both executors produce identical numbers."""
     return replay(job.spec, view, instruments=instruments, prepared=prepared).qos
-
-
-def _execute_shared(
-    job: ReplayJob, view, instruments, prepared: PreparedStage | None
-) -> QoSReport:
-    """Run :func:`_execute`, handing it the group's stage when it takes one.
-
-    The module attribute is looked up per call, so a substitute body with
-    the plain ``(job, view, instruments)`` signature still runs — it just
-    shares nothing.
-    """
-    if prepared is not None and takes_keyword(_execute, "prepared"):
-        return _execute(job, view, instruments, prepared=prepared)
-    return _execute(job, view, instruments)
 
 
 def _groups(jobs: list[ReplayJob]) -> dict[tuple[str, str], list[ReplayJob]]:
@@ -262,18 +250,16 @@ class SerialExecutor:
     def __init__(self, policy: FailurePolicy | None = None):
         self.policy = policy
 
-    # Chaos harnesses (repro.exp.chaos) override this one seam.  An
-    # override without the ``prepared`` parameter still works: its jobs
-    # then run without a shared stage.
+    # Chaos harnesses (repro.exp.chaos) override this one seam.
     def _call(
         self,
         job: ReplayJob,
         view,
         instruments,
         attempt: int,
-        prepared: PreparedStage | None = None,
+        prepared: PreparedStage,
     ) -> QoSReport:
-        return _execute_shared(job, view, instruments, prepared)
+        return _execute(job, view, instruments, prepared)
 
     def run(
         self,
@@ -290,21 +276,18 @@ class SerialExecutor:
         runner: _TimeoutRunner | None = None
         groups = _groups(jobs)
         last = {members[-1].index for members in groups.values()}
-        holders: dict[tuple[str, str], PreparedStage] = {}
-        if takes_keyword(self._call, "prepared"):
-            holders = {
-                key: PreparedStage(j.spec for j in members)
-                for key, members in groups.items()
-            }
+        holders = {
+            key: PreparedStage(j.spec for j in members)
+            for key, members in groups.items()
+        }
 
         def one_attempt(job: ReplayJob, attempt: int):
             nonlocal runner
-            shared = holders.get((job.trace, job.sweep))
-            kwargs = {} if shared is None else {"prepared": shared}
+            shared = holders[(job.trace, job.sweep)]
             if pol.timeout is None:
                 try:
                     qos = self._call(
-                        job, views[job.trace], instruments, attempt, **kwargs
+                        job, views[job.trace], instruments, attempt, shared
                     )
                     return qos, None, None
                 except Exception:
@@ -316,7 +299,7 @@ class SerialExecutor:
             # concurrently with the jobs that follow.  It may keep using
             # the group's stage: a stage is a pure function of its inputs.
             qos, kind, tb = runner.attempt(
-                lambda: self._call(job, views[job.trace], None, attempt, **kwargs),
+                lambda: self._call(job, views[job.trace], None, attempt, shared),
                 pol.timeout,
             )
             if kind == "timeout":
@@ -340,9 +323,7 @@ class SerialExecutor:
                     job=job, kind=kind, attempts=attempt + 1, traceback=tb
                 )
             if job.index in last:
-                holder = holders.pop((job.trace, job.sweep), None)
-                if holder is not None:
-                    holder.release()
+                holders.pop((job.trace, job.sweep)).release()
             if failure is not None:
                 if pol.fail_fast:
                     raise JobFailedError(
@@ -373,15 +354,13 @@ def _init_worker(views: Mapping[str, MonitorView | TraceStore]) -> None:
     _WORKER_VIEWS = views
 
 
-def _run_job(
-    job: ReplayJob, attempt: int = 0, prepared: PreparedStage | None = None
-):
+def _run_job(job: ReplayJob, attempt: int, prepared: PreparedStage):
     """One job in a worker: never raises — failures travel home as tracebacks."""
     try:
         views = _WORKER_VIEWS
         if views is None:  # pragma: no cover - initializer always runs
             raise RuntimeError("worker started without a view table")
-        return job.index, _execute_shared(job, views[job.trace], None, prepared), None
+        return job.index, _execute(job, views[job.trace], None, prepared), None
     except BaseException:
         return job.index, None, traceback.format_exc()
 

@@ -37,10 +37,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence, Union
 
-from repro.detectors.registry import DetectorFamily, get as get_family, takes_keyword
+from repro.detectors.registry import DetectorFamily, get as get_family
 from repro.errors import ConfigurationError
 from repro.exp.archive import check_archive_name
-from repro.exp.policy import ExecutionResult, FailureReport
+from repro.exp.policy import FailureReport
 from repro.qos.area import QoSCurve
 from repro.qos.spec import QoSReport
 from repro.traces.columnar import TraceStore, is_columnar
@@ -72,20 +72,6 @@ def check_shard(shard: tuple[int, int]) -> tuple[int, int]:
             f"shard index must satisfy 0 <= i < n, got i={index}, n={count}"
         )
     return index, count
-
-
-def _executor_kwargs(executor, **candidates) -> dict:
-    """Keyword args (of ``candidates``, non-None) the executor accepts.
-
-    Third-party executors predating the failure policy keep working: a
-    ``run`` signature without ``policy``/``on_result`` simply never sees
-    them.  ``**kwargs``-style signatures receive everything.
-    """
-    return {
-        key: value
-        for key, value in candidates.items()
-        if value is not None and takes_keyword(executor.run, key)
-    }
 
 
 @dataclass(frozen=True)
@@ -297,19 +283,19 @@ class ExperimentPlan:
         """Execute every job and reassemble curves in sweep order.
 
         ``executor`` defaults to a fresh
-        :class:`~repro.exp.executors.SerialExecutor`; any object with
-        ``run(jobs, views, instruments=None)`` works — returning either a
-        bare ``{index: QoSReport}`` mapping (the historical contract) or
-        an :class:`~repro.exp.policy.ExecutionResult` carrying
-        quarantined-job records alongside the reports.  Reassembly is by
-        job index, so executors are free to complete jobs in any order.
+        :class:`~repro.exp.executors.SerialExecutor`.  The plan always
+        calls ``executor.run(jobs, views, *, instruments, policy,
+        on_result)`` and reads the
+        :class:`~repro.exp.policy.ExecutionResult` it returns: the
+        reports plus any quarantined-job records.  Reassembly is by job
+        index, so executors are free to complete jobs in any order.
 
         ``cache`` (a :class:`~repro.exp.cache.SweepCache`) makes the run
         incremental *and crash-safe*: jobs are partitioned into *hits* —
         whose reports are loaded from the cache with zero replay — and
         *misses*, which are handed to the executor.  Each miss is stored
         **the moment its report exists** (via the executor's
-        ``on_result`` streaming callback when it supports one), so a run
+        ``on_result`` streaming callback), so a run
         killed partway leaves every completed grid point on disk and a
         rerun replays only the remainder.  Keys cover the view
         fingerprint, family, and full spec, so a cached run over
@@ -317,7 +303,7 @@ class ExperimentPlan:
         one; per-run hit/miss counts land on :attr:`PlanResult.cache`.
 
         ``policy`` (a :class:`~repro.exp.policy.FailurePolicy`) is
-        forwarded to executors that accept one.  Under ``continue`` mode,
+        forwarded to the executor.  Under ``continue`` mode,
         jobs that exhaust their retries are *quarantined*: their curves
         render with explicit holes (the point is simply absent) and the
         run's :class:`~repro.exp.policy.FailureReport` lands on
@@ -334,7 +320,7 @@ class ExperimentPlan:
         retry/quarantine hooks are teed off the instruments seam, and the
         final counts are reconciled against this result before the
         heartbeat file is sealed — so its last state always matches the
-        archive, streaming executor or not.
+        archive.
         """
         if executor is None:
             from repro.exp.executors import SerialExecutor
@@ -408,25 +394,17 @@ class ExperimentPlan:
         failures: tuple = ()
         try:
             if misses:
-                kwargs = _executor_kwargs(
-                    executor, policy=policy, on_result=on_result
-                )
                 executed = executor.run(
-                    misses, self.views, instruments=instruments, **kwargs
+                    misses,
+                    self.views,
+                    instruments=instruments,
+                    policy=policy,
+                    on_result=on_result,
                 )
-                if isinstance(executed, ExecutionResult):
-                    failures = executed.failures
-                    executed = dict(executed.reports)
-                else:
-                    executed = dict(executed)
+                failures = executed.failures
                 if cache is not None:
-                    if "on_result" not in kwargs:
-                        # Executor predates streaming — store after the fact.
-                        for job in misses:
-                            if job.index in executed:
-                                store(job, executed[job.index])
                     cache.write_manifest()
-                reports.update(executed)
+                reports.update(executed.reports)
         except BaseException:
             if progress is not None:
                 progress.finish("failed")

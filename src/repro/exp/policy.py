@@ -215,11 +215,7 @@ class FailureReport:
 
 @dataclass(frozen=True)
 class ExecutionResult:
-    """What an executor hands back: completed reports + quarantined jobs.
-
-    Executors that predate the failure policy may still return a bare
-    ``{index: QoSReport}`` mapping — the plan normalizes either shape.
-    """
+    """What an executor hands back: completed reports + quarantined jobs."""
 
     reports: Mapping[int, "QoSReport"] = field(default_factory=dict)
     failures: tuple[JobFailure, ...] = ()

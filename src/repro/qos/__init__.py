@@ -16,7 +16,13 @@ from repro.qos.metrics import (
     suspicion_intervals_from_freshness,
 )
 from repro.qos.area import QoSCurve, CurvePoint, dominates, pareto_front, covered_area
-from repro.qos.planner import PlanResult, feasible_points, plan_from_curve, plan_chen_alpha
+from repro.qos.planner import (
+    PlanResult,
+    feasible_points,
+    plan_from_curve,
+    plan_detector,
+    plan_chen_alpha,
+)
 from repro.qos.timeline import Timeline
 
 __all__ = [
@@ -36,6 +42,7 @@ __all__ = [
     "PlanResult",
     "feasible_points",
     "plan_from_curve",
+    "plan_detector",
     "plan_chen_alpha",
     "Timeline",
 ]

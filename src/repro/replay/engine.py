@@ -350,9 +350,9 @@ def replay(
     ``prepared`` (a :class:`~repro.detectors.registry.PreparedStage`)
     lets the grid points of one sweep group over ``source`` share the
     kernel's parameter-independent stage; the executors pass one per
-    group.  Without it the kernel builds its stage for this spec alone —
-    the same prepare → evaluate code either way, so results are equal
-    bit for bit.  Kernels that take no ``prepared`` argument never see it.
+    group.  Without it replay passes ``PreparedStage((spec,))``, so the
+    kernel builds its stage for this spec alone — the same prepare →
+    evaluate code either way, so results are equal bit for bit.
     """
     # Lazy import: the registry sits above both the detectors and replay
     # layers, so importing it at module scope would be cyclic.
@@ -367,10 +367,9 @@ def replay(
             f"view has {len(view)} heartbeats; need more than {r0 + 1} "
             f"for window {spec.window}"
         )
-    if prepared is not None and registry.takes_keyword(family.kernel, "prepared"):
-        run = family.kernel(view, spec, prepared=prepared)
-    else:
-        run = family.kernel(view, spec)
+    if prepared is None:
+        prepared = registry.PreparedStage((spec,))
+    run = family.kernel(view, spec, prepared)
     qos = _account(view, run.freshness, r0)
     if instruments is not None:
         instruments.record_replay(

@@ -463,9 +463,9 @@ class TestCache:
         real = executors._execute
         executed = []
 
-        def counting(job, view, instruments=None):
+        def counting(job, view, instruments, prepared):
             executed.append(job.parameter)
-            return real(job, view, instruments)
+            return real(job, view, instruments, prepared)
 
         monkeypatch.setattr(executors, "_execute", counting)
         result = build((0.05, 0.3, 0.5)).run(cache=cache)

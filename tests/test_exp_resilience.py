@@ -214,9 +214,9 @@ class TestSerialResilience:
         seen: list[object] = []
 
         class Recording(SerialExecutor):
-            def _call(self, job, view, instruments, attempt):
+            def _call(self, job, view, instruments, attempt, prepared):
                 seen.append(instruments)
-                return super()._call(job, view, instruments, attempt)
+                return super()._call(job, view, instruments, attempt, prepared)
 
         ins = Instruments()
         plan = tiny_plan(small_view, n=2)
@@ -639,26 +639,7 @@ class TestArchiveFailures:
         assert len(load_curve(tmp_path / "CURVE_t_chen.json")) == 5
 
 
-class TestBackwardCompat:
-    def test_plain_mapping_executor_still_works(self, small_view, tmp_path):
-        from repro.exp.executors import _execute
-
-        class OldStyle:
-            def run(self, jobs, views, instruments=None):
-                return {
-                    j.index: _execute(j, views[j.trace], instruments)
-                    for j in jobs
-                }
-
-        plan = tiny_plan(small_view, n=3)
-        clean = plan.run(SerialExecutor())
-        cache = SweepCache(tmp_path / "cache")
-        result = plan.run(OldStyle(), cache=cache, policy=FailurePolicy())
-        assert curves_of(result) == curves_of(clean)
-        # Store-after-the-fact path: the cache still filled up.
-        rerun = plan.run(OldStyle(), cache=SweepCache(tmp_path / "cache"))
-        assert rerun.cache.hits == 3
-
+class TestDefaultPool:
     def test_default_pool_has_no_chaos(self, small_view):
         plan = tiny_plan(small_view, n=3)
         clean = plan.run(SerialExecutor())

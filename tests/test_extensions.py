@@ -168,3 +168,25 @@ class TestPlanner:
         )
         plan = plan_chen_alpha(view, impossible, window=500)
         assert not plan.satisfiable
+
+    def test_plan_detector_picks_the_curve_planners_point(self):
+        from repro.analysis import sweep_curve
+        from repro.qos import plan_detector
+
+        view = synthesize(WAN_1, n=5_000, seed=9).monitor_view()
+        grid = (0.01, 0.05, 0.1, 0.2, 0.4, 0.8)
+        req = QoSRequirements(
+            max_detection_time=0.9,
+            max_mistake_rate=0.35,
+            min_query_accuracy=0.97,
+        )
+        plan = plan_detector("chen", view, req, grid=grid, window=300)
+        ref = plan_from_curve(sweep_curve("chen", view, grid, window=300), req)
+        assert plan.satisfiable
+        assert plan.point == ref.point
+        assert plan.feasible == ref.feasible
+        impossible = QoSRequirements(
+            max_detection_time=0.01, max_mistake_rate=1e-9
+        )
+        plan = plan_detector("chen", view, impossible, grid=grid, window=300)
+        assert plan.satisfiable is False

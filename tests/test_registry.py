@@ -421,7 +421,7 @@ class DoubleSpec(ReplaySpec):
         return self.timeout
 
 
-def _double_kernel(view, spec):
+def _double_kernel(view, spec, prepared):
     return registry.KernelRun(fixed_freshness(view, 2.0 * spec.timeout))
 
 

@@ -3,12 +3,16 @@
 Tier-1 checks that keep structural regressions out of the tree: no
 compiled bytecode under version control, no per-family ``isinstance``
 ladders creeping back into the replay package now that dispatch goes
-through :mod:`repro.detectors.registry`, and no streaming host writing its
-own copy of the self-accounting rule or the slot close.
+through :mod:`repro.detectors.registry`, no streaming host writing its
+own copy of the self-accounting rule or the slot close, no runtime
+signature sniffing at the plugin seams, and no documented example that
+imports a name the package does not export.
 """
 
 from __future__ import annotations
 
+import ast
+import re
 import subprocess
 from pathlib import Path
 
@@ -94,3 +98,52 @@ def test_one_accounting_rule_and_one_slot_close():
                 if needle in line and rel != home:
                     offenders.append(f"{rel}:{lineno}: {line.strip()}")
     assert not offenders, "\n".join(offenders)
+
+
+#: Kernels, job bodies and executors each have one call contract, so no
+#: caller needs to ask a plugin's signature what it accepts.
+SIGNATURE_SNIFFING = ("inspect.signature", "takes_keyword")
+
+
+def test_no_runtime_signature_sniffing():
+    src = REPO / "src"
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        rel = path.relative_to(src).as_posix()
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if any(needle in line for needle in SIGNATURE_SNIFFING):
+                offenders.append(f"{rel}:{lineno}: {line.strip()}")
+    assert not offenders, "\n".join(offenders)
+
+
+def _doc_python_blocks():
+    """``(file, first line, source)`` of every ```python block in the docs."""
+    for path in [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]:
+        text = path.read_text()
+        for block in re.finditer(r"^```python\n(.*?)^```", text, re.M | re.S):
+            line = text.count("\n", 0, block.start(1)) + 1
+            yield path.relative_to(REPO).as_posix(), line, block.group(1)
+
+
+def test_doc_example_imports_resolve():
+    """Each import of a documented example runs on its own: a reader
+    copying the example gets no ImportError."""
+    failures = []
+    imports = 0
+    for name, first, source in _doc_python_blocks():
+        try:
+            tree = ast.parse(source)
+        except SyntaxError as exc:
+            failures.append(f"{name}:{first + (exc.lineno or 1) - 1}: {exc.msg}")
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            imports += 1
+            stmt = ast.unparse(node)
+            try:
+                exec(compile(stmt, name, "exec"), {})
+            except ImportError as exc:
+                failures.append(f"{name}:{first + node.lineno - 1}: {stmt} ({exc})")
+    assert imports, "found no imports in the documented examples"
+    assert not failures, "\n".join(failures)

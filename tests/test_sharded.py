@@ -301,6 +301,21 @@ class TestShardedTable:
         # SUSPECT is terminal for a binary detector: nothing left to pop.
         assert table.advance(2.0) == 0
 
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_retuned_fixed_timeout_reaches_both_ingest_paths(self, batched):
+        # ``fixed_timeout`` is the knob a tuner turns, and the batch lane
+        # reads ``freshness_offset``: both must see the one stored value.
+        table = MembershipTable(lambda nid: FixedTimeoutFD(1.0))
+        for seq in range(3):
+            table.heartbeat("a", seq, float(seq))
+        table.node("a").detector.fixed_timeout = 5.0
+        if batched:
+            table.heartbeat_batch([("a", 3, 3.0, None)])
+        else:
+            table.heartbeat("a", 3, 3.0)
+        assert table.node("a").detector.freshness_point() == 8.0
+        assert table.statuses(4.5)["a"] is NodeStatus.ACTIVE
+
     def test_heartbeat_batch_counts_accepted_only(self):
         table = MembershipTable(lambda nid: FixedTimeoutFD(0.1))
         batch = [
