@@ -23,6 +23,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from repro.analysis.experiments import ExperimentSetup, default_setup, repro_scale
 from repro.core import SlotConfig
@@ -117,11 +118,12 @@ def git_sha() -> str:
 
 
 def env_block() -> dict:
-    """Where a number came from: commit, interpreter, numpy, cores, scale."""
+    """Where a number came from: commit, interpreter, numpy, SciPy, cores, scale."""
     return {
         "git_sha": git_sha(),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "scipy": scipy.__version__,
         "cpu_count": os.cpu_count(),
         "repro_scale": repro_scale(),
     }

@@ -6,8 +6,8 @@ multi-million-heartbeat traces per parameter point.  Two layers are
 timed here:
 
 * **kernels in isolation** — the vectorized Chen/Bertier/φ/SFD replays
-  on a pre-extracted in-memory view (the historical bench), plus the
-  per-event streaming reference on a slice;
+  and the quantile stage on a pre-extracted in-memory view (the
+  historical bench), plus the per-event streaming reference on a slice;
 * **the full pipeline** — open a multi-million-heartbeat *columnar
   store* from disk, replay it, and produce a QoS report, which is what
   one sweep grid point actually costs.  The columnar format's zero-copy
@@ -23,7 +23,6 @@ heartbeats; CI smoke runs use a reduced count).
 import os
 import time
 
-import numpy as np
 import pytest
 
 from repro.core import SFD, SlotConfig
@@ -37,6 +36,7 @@ from repro.replay import (
     SFDSpec,
     replay,
 )
+from repro.replay.vectorized import quantile_stage
 from repro.traces import TraceStore, WAN_JAIST, synthesize, synthesize_to
 
 from _common import SEED, bench_stats, emit, interleaved_min, qos_dict
@@ -97,6 +97,35 @@ def test_vectorized_sfd_throughput(benchmark, view):
     # The slot loop costs more than pure array code but must stay fast
     # enough for sweeps.
     assert len(view) / benchmark.stats["mean"] > 2e5
+
+
+def test_vectorized_quantile_throughput(benchmark, view):
+    """The quantile stage of a sweep group: four quantiles at window 1000.
+
+    This is the stage that ``perfbench`` ``sweep`` spends most in.  Full
+    windows take their order statistics from ``scipy.ndimage.rank_filter``
+    (one C pass per distinct rank), so the rate depends on the SciPy
+    version recorded in the JSON's ``env`` block.  A pure-Python sorted
+    window over every gap reads below 1 M heartbeats/s here.
+    """
+    qs = (0.9, 0.99, 0.999, 1.0)
+    stage = benchmark(lambda: quantile_stage(view, qs, window=1000))
+    rate = len(view) / benchmark.stats["mean"]
+    emit(
+        "throughput_quantile",
+        f"vectorized quantile stage: {rate / 1e6:.2f} M heartbeats/s "
+        f"({len(view)} heartbeats, window 1000, q in {list(qs)})",
+        data={
+            "detector": "quantile",
+            "heartbeats": len(view),
+            "window": 1000,
+            "quantiles": list(qs),
+            "heartbeats_per_s": rate,
+            "timing": bench_stats(benchmark),
+        },
+    )
+    assert sorted(stage) == list(qs)
+    assert rate > 2e6
 
 
 def test_streaming_reference_for_scale(benchmark, view):

@@ -4,7 +4,7 @@ Section V's evaluation replays one trace through every detector family
 while each family's parameter moves from aggressive to conservative.
 :mod:`repro.exp` runs each such sweep as one *group* whose members share
 the kernel work the swept parameter never touches (Chen's expected
-arrivals, the sorted quantile window, …), and fans independent groups
+arrivals, the quantile order statistics, …), and fans independent groups
 out across processes.  The same :class:`~repro.exp.plan.ExperimentPlan`
 runs under :class:`~repro.exp.executors.SerialExecutor` and
 :class:`~repro.exp.executors.ProcessPoolExecutor` with **bit-identical**

@@ -45,8 +45,11 @@ class QuantileFD(TimeoutFailureDetector):
     each heartbeat costs an O(log window) search plus one C ``memmove``
     of the sorted list, and each freshness point is an O(1) index lookup
     — bitwise equal to ``np.quantile`` over the window.  The vectorized
-    replay (:func:`repro.replay.vectorized.quantile_freshness`) runs the
-    same window, so both planes share one core.
+    replay (:func:`repro.replay.vectorized.quantile_stage`) runs the same
+    window only while it fills, then selects order statistics with a rank
+    filter and repeats this class's interpolation as numpy ufuncs; the
+    two planes agree bit for bit because both pick window elements and
+    round the same float64 operations.
     """
 
     name = "quantile"

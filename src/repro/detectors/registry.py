@@ -20,7 +20,7 @@ binds together everything the rest of the library needs to host a family:
 Every kernel is ``kernel(view, spec, prepared)``.  A sweep varies one
 parameter while the rest of the spec stays fixed, and most families spend
 nearly all their time on work that parameter never touches (Chen's
-expected arrivals, the NLMS predictor pass, the sorted quantile window).
+expected arrivals, the NLMS predictor pass, the quantile order statistics).
 ``prepared`` (a :class:`PreparedStage`) holds that work for one sweep
 group: the first grid point builds it and every later one reuses it::
 

@@ -20,6 +20,10 @@ Key identities used (derivations in the docstrings):
   ``Φ ≳ 15.95`` (``1 − 10^{−Φ} == 1.0``) is deliberately preserved, as the
   paper leans on it ("rounding errors prevent computing points in the
   conservative range").
+* Sliding quantiles of full windows are order statistics at fixed ranks,
+  selected in C by :func:`scipy.ndimage.rank_filter`; numpy's
+  interpolation between them then runs as ufuncs, so the result stays
+  bitwise equal to the streaming sorted window.
 * SFD's margin changes only at slot boundaries, so its replay is a loop
   over ~(heartbeats/slot) slots with vectorized work inside each.
 
@@ -39,6 +43,7 @@ from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.ndimage import rank_filter
 from scipy.signal import lfilter
 from scipy.special import ndtri
 
@@ -256,14 +261,12 @@ def quantile_freshness(
 ) -> np.ndarray:
     """Quantile-timeout FD freshness points (the [34-35] family).
 
-    ``FP[r] = A_r + Quantile_q(trailing inter-arrivals)``.  Sliding
-    quantiles have no closed form to vectorize, so this runs the *same*
-    :class:`~repro.detectors.window.SortedWindow` the streaming
-    :class:`~repro.detectors.quantile.QuantileFD` uses over
-    ``np.diff(arrivals)`` — O(n·log window) search plus a C ``memmove``
-    per heartbeat, and bit-identical to the streaming detector (and to
-    ``np.quantile``) by construction.  Indices below ``window`` use the
-    partially filled window; index 0 is NaN.
+    ``FP[r] = A_r + Quantile_q(trailing inter-arrivals)`` over
+    ``np.diff(arrivals)``, computed by :func:`quantile_stage` and
+    bit-identical to the streaming
+    :class:`~repro.detectors.quantile.QuantileFD` (and to ``np.quantile``
+    over each window).  Indices below ``window`` use the partially
+    filled window; index 0 is NaN.
     """
     return quantile_evaluate(
         view, quantile_stage(view, (quantile,), window=window), quantile
@@ -277,28 +280,75 @@ def _quantile_ok(q: float) -> bool:
 def quantile_stage(
     view: MonitorView, quantiles, *, window: int
 ) -> dict[float, np.ndarray]:
-    """Trailing-window inter-arrival quantiles for every ``q``, in one pass.
+    """Trailing-window inter-arrival quantiles for every ``q``.
 
-    One :class:`~repro.detectors.window.SortedWindow` walks the gaps once
-    and records each distinct ``q`` after every push, so a sweep over k
-    quantiles pays for the sorted window once rather than k times.
-    Quantiles outside ``(0, 1]`` are skipped; :func:`quantile_evaluate`
-    rejects them, so one bad grid point fails alone.
+    The first ``window − 1`` gaps, whose window is still filling, walk one
+    :class:`~repro.detectors.window.SortedWindow` — the streaming
+    detector's structure — and record every ``q`` after each push.  Every
+    full window has ``n = window`` samples, so each ``q`` needs the same
+    one or two ranks at every index: :func:`scipy.ndimage.rank_filter`
+    selects each distinct rank of the group over all full windows in one
+    C pass, with ``origin`` set so that output ``j`` reads
+    ``x[j − window + 1 .. j]``.  The interpolation then repeats
+    :meth:`SortedWindow.quantile <repro.detectors.window.SortedWindow.quantile>`
+    as numpy ufuncs, one float64 operation at a time.
+
+    The result is bitwise equal to the streaming detector: a rank filter
+    returns an element of the window and does no arithmetic on it, and
+    ufuncs do not fuse operations, so ``v``, ``g`` and the lerp round
+    exactly as the scalar code does.  Quantiles outside ``(0, 1]`` are
+    skipped; :func:`quantile_evaluate` rejects them, so one bad grid
+    point fails alone.
     """
     _require_view(view, 2)
     if window < 1:
         raise ConfigurationError(f"window must be >= 1, got {window!r}")
     qs = sorted({float(q) for q in quantiles if _quantile_ok(q)})
-    columns = {q: array("d") for q in qs}
+    if not qs:
+        return {}
+    x = np.diff(view.arrivals)
     samples = SortedWindow(window)
+    # A rank filter would pass a NaN through: reject the first non-finite
+    # gap up front with the error SortedWindow.push raises for it.
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        samples.push(x[bad[0]])
+    # Filling prefix: the streaming structure, read after every push.
+    heads = {q: array("d") for q in qs}
     push = samples.push
     quantile_of = samples.quantile
-    appends = [(q, columns[q].append) for q in qs]
-    for gap in np.diff(view.arrivals).tolist():
+    appends = [(q, heads[q].append) for q in qs]
+    for gap in x[: window - 1].tolist():
         push(gap)
         for q, append in appends:
             append(quantile_of(q))
-    return {q: np.frombuffer(col, dtype=np.float64) for q, col in columns.items()}
+    columns = {q: np.frombuffer(head, dtype=np.float64) for q, head in heads.items()}
+    if x.size < window:
+        return columns
+    # Full windows: n − 1 = window − 1 for every index.
+    top = window - 1
+    ranks: dict[int, np.ndarray] = {}
+
+    def order_stat(rank: int) -> np.ndarray:
+        if rank not in ranks:
+            ranks[rank] = rank_filter(x, rank, size=window, origin=top // 2)[top:]
+        return ranks[rank]
+
+    for q in qs:
+        v = top * q
+        if v >= top:
+            tail = order_stat(top)
+        else:
+            lo = math.floor(v)
+            g = v - lo
+            a = order_stat(lo)
+            b = order_stat(lo + 1)
+            if g < 0.5:
+                tail = a + (b - a) * g
+            else:
+                tail = b - (b - a) * (1.0 - g)
+        columns[q] = np.concatenate((columns[q], tail))
+    return columns
 
 
 def quantile_evaluate(

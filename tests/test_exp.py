@@ -27,7 +27,6 @@ import numpy as np
 import pytest
 
 from repro.detectors import registry
-from repro.detectors.window import SortedWindow
 from repro.errors import ConfigurationError
 from repro.exp import (
     CACHE_FORMAT,
@@ -624,8 +623,8 @@ class TestPrepareOnce:
     """Timing-free perf guard: a sweep group builds its stage once.
 
     Counts the expensive stage builds — the NLMS predictor pass and the
-    sorted quantile window — and fails if sharing silently regresses to
-    one build per grid point.
+    quantile stage — at the registry's stage functions, and fails if
+    sharing silently regresses to one build per grid point.
     """
 
     @staticmethod
@@ -646,7 +645,6 @@ class TestPrepareOnce:
 
         real_ml = registry.ml_prediction_arrays
         real_quantile = registry.quantile_stage
-        real_init = SortedWindow.__init__
 
         def ml(*args, **kwargs):
             log("ml")
@@ -655,17 +653,13 @@ class TestPrepareOnce:
             return out
 
         def quantile(*args, **kwargs):
+            log("quantile")
             out = real_quantile(*args, **kwargs)
             stages.extend(weakref.ref(a) for a in out.values())
             return out
 
-        def init(self, capacity):
-            log("window")
-            real_init(self, capacity)
-
         monkeypatch.setattr(registry, "ml_prediction_arrays", ml)
         monkeypatch.setattr(registry, "quantile_stage", quantile)
-        monkeypatch.setattr(SortedWindow, "__init__", init)
 
     @staticmethod
     def builds(log_path) -> list[str]:
@@ -678,7 +672,7 @@ class TestPrepareOnce:
         stages: list = []
         self.count_builds(monkeypatch, log_path, stages)
         result = self.plan(small_view).run(SerialExecutor())
-        assert self.builds(log_path) == ["ml", "window"]
+        assert self.builds(log_path) == ["ml", "quantile"]
         assert len(stages) == 6  # (pred, jitter) + four quantile columns
         # Released with the group: no stage outlives the run.
         assert all(ref() is None for ref in stages)
@@ -690,7 +684,7 @@ class TestPrepareOnce:
         log_path = tmp_path / "builds.log"
         self.count_builds(monkeypatch, log_path, [])
         pooled = self.plan(small_view).run(ProcessPoolExecutor(jobs=2))
-        assert self.builds(log_path) == ["ml", "window"]
+        assert self.builds(log_path) == ["ml", "quantile"]
         monkeypatch.undo()
         assert pooled.curves == self.plan(small_view).run(SerialExecutor()).curves
 
@@ -704,4 +698,4 @@ class TestPrepareOnce:
         self.count_builds(monkeypatch, log_path, [])
         for job in self.plan(small_view).jobs():
             replay(job.spec, small_view)
-        assert self.builds(log_path) == ["ml"] * 4 + ["window"] * 4
+        assert self.builds(log_path) == ["ml"] * 4 + ["quantile"] * 4

@@ -1,19 +1,25 @@
 """The quantile kernel is bitwise equal to ``np.quantile`` over a sliding view.
 
-:func:`repro.replay.quantile_freshness` runs a sorted sliding window
-(:class:`repro.detectors.window.SortedWindow`) instead of recomputing a
-selection per window.  The reference below is the straightforward
-``sliding_window_view`` + ``np.quantile`` kernel it replaced, kept only
-as the oracle: order statistics are exact window elements and the
-window's interpolation is numpy's own arithmetic, so the two must agree
-bit for bit — compared as int64 views, not with a tolerance.
+:func:`repro.replay.vectorized.quantile_stage` runs a sorted sliding
+window (:class:`repro.detectors.window.SortedWindow`) while the window
+fills, then one ``scipy.ndimage.rank_filter`` pass per distinct rank over
+the full windows.  The reference below is the straightforward
+``sliding_window_view`` + ``np.quantile`` kernel, kept only as the
+oracle: order statistics are exact window elements and the window's
+interpolation is numpy's own arithmetic, so the two must agree bit for
+bit — compared as int64 views, not with a tolerance.  The cases below
+pin the seams of that split: the first full window, both parities of
+the filter's ``origin``, windows longer than the view, ranks shared
+across quantiles, and non-finite gaps on either side of the seam.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import ConfigurationError
 from repro.replay import quantile_freshness
+from repro.replay.vectorized import quantile_evaluate, quantile_stage
 from repro.traces.trace import MonitorView
 
 
@@ -66,7 +72,9 @@ quantiles = st.one_of(
 @settings(max_examples=120, deadline=None)
 @given(
     gaps=gaps_strategy,
-    window=st.sampled_from((1, 2, 3, 7, 64)),
+    # 8/65: both parities of the filter's origin; 200: longer than any
+    # drawn view, so only the filling prefix runs.
+    window=st.sampled_from((1, 2, 3, 7, 8, 64, 65, 200)),
     q=quantiles,
 )
 def test_kernel_bitwise_equals_sliding_np_quantile(gaps, window, q):
@@ -90,3 +98,48 @@ def test_first_index_is_nan_and_rest_finite(small_view):
     fp = quantile_freshness(small_view, 0.9, window=40)
     assert np.isnan(fp[0])
     assert np.isfinite(fp[1:]).all()
+
+
+@pytest.mark.parametrize("window", [2, 3, 64, 65])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("q", [1e-9, 0.5, 0.9, 1.0])
+def test_bitwise_at_the_first_full_window(window, extra, q):
+    # window − 1 gaps: prefix only; window: one full window; window + 1: two.
+    gaps = np.random.default_rng(window).exponential(0.1, size=window + extra)
+    gaps[::5] = 0.1  # ties across the seam
+    view = view_from_gaps(gaps)
+    assert_bitwise_equal(
+        reference_quantile_freshness(view, q, window=window),
+        quantile_freshness(view, q, window=window),
+    )
+
+
+def test_each_stage_column_equals_its_one_quantile_stage(wan1_view):
+    # At window 1000, 0.999 and 0.9999 both read ranks 998 and 999, and
+    # 1.0 reads 999 alone: one rank array feeds three columns.
+    qs = (0.5, 0.9, 0.999, 0.9999, 1.0)
+    stage = quantile_stage(wan1_view, qs + (1.5,), window=1000)
+    assert sorted(stage) == sorted(qs)  # the out-of-range q is skipped
+    assert quantile_stage(wan1_view, (0.0, 1.5), window=1000) == {}
+    for q in qs:
+        alone = quantile_stage(wan1_view, (q,), window=1000)[q]
+        np.testing.assert_array_equal(stage[q].view(np.int64), alone.view(np.int64))
+    assert_bitwise_equal(
+        reference_quantile_freshness(wan1_view, 0.9999, window=1000),
+        quantile_evaluate(wan1_view, stage, 0.9999),
+    )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("index", [3, 150])
+def test_non_finite_arrival_is_rejected(bad, index):
+    # Window 64: index 3 falls in the filling prefix, 150 past it.
+    arrivals = view_from_gaps(np.full(199, 0.1)).arrivals.copy()
+    arrivals[index] = bad
+    view = MonitorView(
+        seq=np.arange(arrivals.size, dtype=np.int64),
+        arrivals=arrivals,
+        send_times=arrivals - 0.01,
+    )
+    with pytest.raises(ConfigurationError, match="finite"):
+        quantile_stage(view, (0.5, 0.99, 1.0), window=64)
