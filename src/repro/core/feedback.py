@@ -244,20 +244,20 @@ Checkpoint = tuple[float, int, float, float, int]
 
 
 class FeedbackDriver:
-    """Slot bookkeeping shared by streaming SFD, the general monitor, and
-    the vectorized replay.
+    """Slot bookkeeping shared by the streaming self-tuning monitor (SFD
+    included) and the vectorized replay.
 
     The host owns its measured QoS (a
     :class:`~repro.qos.metrics.MistakeAccumulator` fed by
     :func:`~repro.qos.metrics.account_arrival`, or the replay's bulk
-    tallies) and the tuned value (SFD's margin, the monitor's knob); this
+    tallies) and the tuned value (the monitor's knob, SFD's margin); this
     class closes every slot: it counts accounted heartbeats to the slot
     boundary, picks the evaluation window (cumulative / trailing horizon /
     since-last-change per :class:`SlotConfig`), waits for enough evidence
     (``min_slots``), asks the :class:`FeedbackController` for the step,
     clamps the new value into ``bounds``, and appends the
     :class:`TuningRecord` to :attr:`trace` and hands it to :attr:`on_slot`.
-    Closing every slot in one place is what makes the three SFD
+    Closing every slot in one place is what makes the two SFD
     implementations identical.
     """
 

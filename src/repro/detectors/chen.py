@@ -13,6 +13,8 @@ here — the unit is the trace's) to draw Chen FD's QoS curve, and reuses
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import ConfigurationError
 from repro.detectors.base import TimeoutFailureDetector
 from repro.detectors.estimation import ChenEstimator
@@ -53,6 +55,9 @@ class ChenFD(TimeoutFailureDetector):
         self.alpha = float(alpha)
         self._window = HeartbeatWindow(window_size)
         self._estimator = ChenEstimator(self._window, nominal_interval)
+        #: ``EA(k+1)`` the current freshness point was computed from (NaN
+        #: before warm-up): SFD's accrual face reads it on every query.
+        self.ea = math.nan
 
     @property
     def window_size(self) -> int:
@@ -62,12 +67,14 @@ class ChenFD(TimeoutFailureDetector):
         self._window.push(seq, arrival)
 
     def _next_freshness(self) -> float:
-        return self._estimator.expected_arrival() + self.alpha
+        self.ea = ea = self._estimator.expected_arrival()
+        return ea + self.alpha
 
     def expected_arrival(self) -> float:
-        """EA(k+1): the estimator's raw prediction (for tests/diagnostics)."""
+        """EA(k+1) recomputed from the window (for tests/diagnostics)."""
         return self._estimator.expected_arrival()
 
     def reset(self) -> None:
         self._window.clear()
         self._observed = 0
+        self.ea = math.nan

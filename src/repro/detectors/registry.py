@@ -58,8 +58,8 @@ from typing import Any, Callable, Iterable, Mapping
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.core.feedback import InfeasiblePolicy, SlotConfig, TuningStatus
-from repro.core.sfd import SFD, TuningRecord
+from repro.core.feedback import InfeasiblePolicy, SlotConfig
+from repro.core.sfd import SFD
 from repro.detectors.base import FailureDetector
 from repro.detectors.bertier import BertierFD
 from repro.detectors.chen import ChenFD
@@ -78,6 +78,7 @@ from repro.replay.engine import (
     SFDSpec,
 )
 from repro.replay.vectorized import (
+    KernelRun,
     bertier_freshness,
     chen_evaluate,
     chen_expected_arrivals,
@@ -107,22 +108,6 @@ __all__ = [
     "make_detector",
     "detector_factory",
 ]
-
-
-@dataclass
-class KernelRun:
-    """Normalized result of one vectorized kernel invocation.
-
-    Every family's kernel — whatever its native return shape — is adapted
-    to this: the freshness-point array plus the optional self-tuning
-    artifacts only feedback-driven families (SFD) produce.  This is what
-    lets :func:`repro.replay.engine.replay` stay family-agnostic.
-    """
-
-    freshness: np.ndarray
-    tuning: list[TuningRecord] = field(default_factory=list)
-    final_margin: float | None = None
-    status: TuningStatus | None = None
 
 
 _UNBUILT = object()
@@ -372,7 +357,7 @@ def _ml_kernel(
 def _sfd_kernel(
     view: MonitorView, spec: SFDSpec, prepared: PreparedStage
 ) -> KernelRun:
-    run = sfd_evaluate(
+    return sfd_evaluate(
         view,
         prepared.stage(_chen_stage(view, spec)),
         spec.requirements,
@@ -383,12 +368,6 @@ def _sfd_kernel(
         slot=spec.slot,
         policy=spec.policy,
         sm_bounds=spec.sm_bounds,
-    )
-    return KernelRun(
-        freshness=run.freshness,
-        tuning=run.trace,
-        final_margin=run.final_margin,
-        status=run.status,
     )
 
 

@@ -22,7 +22,7 @@ from repro.replay.vectorized import (
     ml_prediction_arrays,
     ml_freshness,
     sfd_freshness,
-    SFDReplay,
+    KernelRun,
 )
 from repro.replay.engine import (
     ReplayResult,
@@ -47,7 +47,7 @@ __all__ = [
     "ml_prediction_arrays",
     "ml_freshness",
     "sfd_freshness",
-    "SFDReplay",
+    "KernelRun",
     "ReplayResult",
     "ReplaySpec",
     "ChenSpec",

@@ -79,8 +79,26 @@ __all__ = [
     "ml_freshness",
     "sfd_evaluate",
     "sfd_freshness",
-    "SFDReplay",
+    "KernelRun",
 ]
+
+
+@dataclass
+class KernelRun:
+    """Result of one vectorized kernel run.
+
+    The freshness-point array (``FP[r]`` aligned with the view, NaN before
+    warm-up) plus the self-tuning artifacts only feedback-driven families
+    (SFD) produce: the per-slot :class:`~repro.core.feedback.TuningRecord`
+    history, the tuned margin after the last slot and the feedback state
+    at the end of the run.  Every registry kernel returns one, which is
+    what lets :func:`repro.replay.engine.replay` stay family-agnostic.
+    """
+
+    freshness: np.ndarray
+    tuning: list[TuningRecord] = field(default_factory=list)
+    final_margin: float | None = None
+    status: TuningStatus | None = None
 
 
 def _require_view(view: MonitorView, minimum: int) -> None:
@@ -397,8 +415,7 @@ def ml_prediction_arrays(
 
     The arrays are margin-independent: they are the family's stage, and
     every grid point of a sweep evaluates one shared pass
-    (:func:`ml_evaluate`; see also
-    :class:`repro.analysis.fastsweep.MLSweeper`).
+    (:func:`ml_evaluate`).
     """
     _require_view(view, 2)
     arrivals = view.arrivals
@@ -444,28 +461,6 @@ def ml_evaluate(
     return view.arrivals + (pred + float(margin) * (jit + ML_JITTER_FLOOR))
 
 
-@dataclass
-class SFDReplay:
-    """Outcome of a vectorized SFD replay.
-
-    Attributes
-    ----------
-    freshness:
-        ``FP[r]`` array aligned with the view (NaN before warm-up).
-    final_margin:
-        The tuned ``SM`` after the last slot.
-    status:
-        Feedback state at the end of the run.
-    trace:
-        Per-slot :class:`~repro.core.sfd.TuningRecord` history.
-    """
-
-    freshness: np.ndarray
-    final_margin: float
-    status: TuningStatus
-    trace: list[TuningRecord] = field(default_factory=list)
-
-
 def sfd_freshness(
     view: MonitorView,
     requirements: QoSRequirements,
@@ -478,7 +473,7 @@ def sfd_freshness(
     slot: SlotConfig | None = None,
     policy: InfeasiblePolicy = InfeasiblePolicy.STOP,
     sm_bounds: tuple[float, float] = (0.0, math.inf),
-) -> SFDReplay:
+) -> KernelRun:
     """SFD freshness points with the per-slot feedback of Eqs. (11-13).
 
     Semantics mirror :class:`repro.core.sfd.SFD` exactly: accounting starts
@@ -513,7 +508,7 @@ def sfd_evaluate(
     slot: SlotConfig | None = None,
     policy: InfeasiblePolicy = InfeasiblePolicy.STOP,
     sm_bounds: tuple[float, float] = (0.0, math.inf),
-) -> SFDReplay:
+) -> KernelRun:
     """SFD's per-slot feedback loop on a prepared Chen ``EA`` array.
 
     ``ea`` is :func:`chen_expected_arrivals` at ``window`` — the part of
@@ -578,9 +573,6 @@ def sfd_evaluate(
                 td_count,
             )
         start = stop
-    return SFDReplay(
-        freshness=fp,
-        final_margin=sm,
-        status=driver.status,
-        trace=driver.trace,
+    return KernelRun(
+        freshness=fp, tuning=driver.trace, final_margin=sm, status=driver.status
     )

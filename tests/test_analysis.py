@@ -270,57 +270,3 @@ class TestFastSweep:
             slow = sweep_curve("chen", view, alphas, **kw)
             fast = fast_chen_curve(view, alphas, **kw)
             self.assert_agree(slow, fast)
-
-
-class TestMLFastSweep:
-    """The scaled-survival ml evaluator must agree exactly with replay."""
-
-    def test_exact_agreement_with_replay_sweep(self, view):
-        from repro.analysis import MLSweeper
-
-        margins = [0.0, 0.25, 1.0, 4.0, 16.0]
-        slow = sweep_curve("ml", view, margins, window=16)
-        fast = MLSweeper(view, window=16).curve(margins)
-        for a, b in zip(slow.points, fast.points):
-            assert a.qos.mistakes == b.qos.mistakes
-            assert a.qos.mistake_time == pytest.approx(
-                b.qos.mistake_time, abs=1e-8
-            )
-            assert a.qos.detection_time == pytest.approx(
-                b.qos.detection_time, abs=1e-9
-            )
-            assert a.qos.query_accuracy == pytest.approx(
-                b.qos.query_accuracy, abs=1e-10
-            )
-
-    def test_monotone_in_margin(self, view):
-        from repro.analysis import MLSweeper
-
-        sw = MLSweeper(view, window=16)
-        prev = sw.qos_at(0.0)
-        for margin in (0.5, 2.0, 8.0, 32.0):
-            cur = sw.qos_at(margin)
-            assert cur.mistakes <= prev.mistakes
-            assert cur.mistake_time <= prev.mistake_time + 1e-12
-            # Strict: the jitter floor makes every extra margin unit buy
-            # a strictly later mean deadline.
-            assert cur.detection_time > prev.detection_time
-            prev = cur
-
-    def test_huge_margin_is_perfect_accuracy(self, view):
-        from repro.analysis import MLSweeper
-
-        q = MLSweeper(view, window=16).qos_at(1e12)
-        assert q.mistakes == 0
-        assert q.query_accuracy == 1.0
-
-    def test_validation(self, view):
-        from repro.analysis import MLSweeper, fast_ml_curve
-
-        with pytest.raises(ConfigurationError):
-            MLSweeper(view, window=10**6)
-        with pytest.raises(ConfigurationError):
-            MLSweeper(view, window=16).qos_at(-1.0)
-        # The convenience wrapper is the same evaluator.
-        fast = fast_ml_curve(view, [0.0, 2.0], window=16)
-        assert [p.parameter for p in fast.points] == [0.0, 2.0]

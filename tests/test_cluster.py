@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.core import SelfTuningMonitor, SlotConfig
 from repro.cluster import (
     ClusterScan,
     MembershipTable,
@@ -12,8 +13,9 @@ from repro.cluster import (
     NodeSpec,
     NodeStatus,
 )
-from repro.detectors import FixedTimeoutFD, PhiFD
+from repro.detectors import ChenFD, FixedTimeoutFD, PhiFD
 from repro.detectors.base import FailureDetector
+from repro.qos.spec import QoSRequirements
 
 
 def fixed_factory(timeout=0.5):
@@ -271,6 +273,34 @@ class TestLiveQoSAccounting:
         plain = MembershipTable(lambda nid: TimeoutStub())
         plain.heartbeat("a", 0, 0.0)
         assert plain.status_of("a", 1.0) is NodeStatus.SUSPECT
+
+
+class TestSelfTunedHosting:
+    """The general self-tuning method goes wherever a detector goes."""
+
+    def test_table_accounts_like_the_monitor_and_restart_restores_knob(self):
+        req = QoSRequirements(
+            max_detection_time=1.0, max_mistake_rate=0.01, min_query_accuracy=0.99
+        )
+        t = MembershipTable(
+            lambda nid: SelfTuningMonitor(
+                ChenFD(0.02, window_size=5), "alpha", req, slot=SlotConfig(10)
+            ),
+            account_qos=True,
+        )
+        # Every 7th heartbeat is 0.3 s late: mistakes grow the margin.
+        times = [0.1 * i + (0.3 if i % 7 == 0 else 0.0) for i in range(200)]
+        for i, at in enumerate(times):
+            t.heartbeat("a", i, at, at - 0.01)
+        state = t.node("a")
+        mon = state.detector
+        assert mon.tuning_trace and mon.knob_value > 0.02
+        assert state.qos(times[-1]) == mon.qos_snapshot(times[-1])
+        assert t.status_of("a", times[-1]) is NodeStatus.ACTIVE
+        t.heartbeat("a", 0, 100.0)  # restart: the sequence went far back
+        assert t.node("a").detector is mon
+        assert not mon.ready and mon.tuning_trace == []
+        assert mon.knob_value == 0.02 == mon.detector.alpha
 
 
 class TestExpiry:

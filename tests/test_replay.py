@@ -140,8 +140,8 @@ class TestSFDEquivalence:
         assert_fp_equal(fps, run.freshness, atol=1e-8)
         assert run.final_margin == pytest.approx(fd.safety_margin)
         assert run.status == fd.status
-        assert len(run.trace) == len(fd.tuning_trace)
-        for a, b in zip(fd.tuning_trace, run.trace):
+        assert len(run.tuning) == len(fd.tuning_trace)
+        for a, b in zip(fd.tuning_trace, run.tuning):
             assert a.decision == b.decision
             assert a.qos.mistakes == b.qos.mistakes
             assert a.qos.mistake_time == pytest.approx(b.qos.mistake_time)

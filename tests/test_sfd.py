@@ -185,6 +185,28 @@ class TestAccrualOutput:
         feed(fd, view)
         assert fd.suspicion(view.arrivals[-1]) == 0.0
 
+    def test_level_uses_the_margin_of_its_freshness_point(self):
+        """A slot close moves SM after the freshness point is fixed; the
+        level must still reach 1.0 exactly at that point, so it is
+        normalized by the margin the point was computed with."""
+        view = late_view(n=600, late_every=8, lateness=0.25)
+        fd = SFD(TestSelfTuning.REQ, sm1=0.001, window_size=20, slot=SlotConfig(20))
+        rows = zip(view.seq, view.arrivals, view.send_times)
+        for s, a, st in rows:
+            slots = len(fd.tuning_trace)
+            fd.observe(int(s), float(a), float(st))
+            if len(fd.tuning_trace) > slots:
+                rec = fd.tuning_trace[-1]
+                if rec.sm_after != rec.sm_before:
+                    break
+        else:
+            pytest.fail("the margin never moved")
+        assert fd.safety_margin == rec.sm_after
+        assert fd.suspicion_eta(1.0) == fd.freshness_point()
+        s, a, st = next(rows)
+        fd.observe(int(s), float(a), float(st))
+        assert fd.suspicion_eta(1.0) == fd.freshness_point()
+
 
 class TestQoSSnapshot:
     def test_snapshot_counts_mistakes(self):
@@ -246,7 +268,7 @@ class TestGeneralMethodEquivalence:
 
     def test_knob_clamped(self):
         mon = SelfTuningMonitor(
-            ChenFD(0.5, window_size=10),
+            ChenFD(5.0, window_size=10),
             "alpha",
             QoSRequirements(max_detection_time=0.01),
             alpha=1.0,
@@ -254,8 +276,13 @@ class TestGeneralMethodEquivalence:
             slot=SlotConfig(5),
             knob_bounds=(0.2, 1.0),
         )
+        # The initial knob is clamped at construction, like SFD's SM1.
+        assert mon.knob_value == 1.0
         feed(mon, regular_view(n=200))
-        assert mon.knob_value >= 0.2
+        assert mon.knob_value == 0.2
+        mon.reset()
+        assert not mon.ready and mon.tuning_trace == []
+        assert mon.knob_value == 1.0
 
 
 class TestRuntimeRetargeting:

@@ -15,11 +15,12 @@ path end to end.
 import asyncio
 import math
 import random
+import zlib
 
 import pytest
 
 from repro.errors import ConfigurationError, NotWarmedUpError
-from repro.core import SFD
+from repro.core import SFD, SelfTuningMonitor, SlotConfig
 from repro.qos.spec import QoSRequirements
 from repro.cluster import DeadlineWheel, MembershipTable, MonitorGroup, NodeStatus
 from repro.detectors import (
@@ -102,7 +103,20 @@ FACTORIES = {
     "quantile": lambda nid: QuantileFD(0.99, window_size=8),
     "ml": lambda nid: MLFD(2.0, window_size=8),
     "sfd": lambda nid: SFD(QoSRequirements(0.3, 2.0, 0.98), window_size=8),
+    "tuned-phi": lambda nid: SelfTuningMonitor(
+        PhiFD(2.0, window_size=8),
+        "threshold",
+        QoSRequirements(0.3, 2.0, 0.98),
+        slot=SlotConfig(20),
+        knob_bounds=(0.5, 16.0),
+    ),
 }
+
+
+def stable_seed(family: str) -> int:
+    """A per-family seed that is the same in every process (``hash`` of a
+    string is salted per process), so a failing schedule can be replayed."""
+    return zlib.crc32(family.encode())
 
 
 def chaos_events(seed: int, *, nodes: int = 10, steps: int = 2500):
@@ -241,7 +255,7 @@ def run_parity(factory, seed: int, *, steps: int = 2500, batched: bool = False):
 class TestFlatShardedParity:
     @pytest.mark.parametrize("family", sorted(FACTORIES))
     def test_chaos_schedule_parity(self, family):
-        run_parity(FACTORIES[family], seed=hash(family) % 1000)
+        run_parity(FACTORIES[family], seed=stable_seed(family) % 1000)
 
     @pytest.mark.parametrize("seed", [7, 21])
     def test_parity_across_seeds(self, seed):
@@ -253,9 +267,11 @@ class TestFlatShardedParity:
         steady-state fast path (inline linear-timeout lane for fixed /
         chen / bertier / quantile / ml — the learned detector overrides
         no suspicion hooks, so it qualifies — generic lane for phi /
-        sfd); the table must still match the per-item flat oracle verdict
-        under the same chaos schedule."""
-        run_parity(FACTORIES[family], seed=1 + hash(family) % 997, batched=True)
+        sfd / tuned-phi); the table must still match the per-item flat
+        oracle verdict under the same chaos schedule."""
+        run_parity(
+            FACTORIES[family], seed=1 + stable_seed(family) % 997, batched=True
+        )
 
     def test_query_clock_stepping_back_reads_latest_snapshot(self):
         """The one deliberate difference: snapshot queries at a time
