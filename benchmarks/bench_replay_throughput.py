@@ -20,7 +20,9 @@ timed here:
 heartbeats; CI smoke runs use a reduced count).
 """
 
+import dataclasses
 import os
+import statistics
 import time
 
 import pytest
@@ -89,14 +91,85 @@ def test_vectorized_phi_throughput(benchmark, view):
     assert len(view) / benchmark.stats["mean"] > 1e6
 
 
+def _wall_stats(fn, rounds: int) -> dict:
+    """:func:`bench_stats`'s fields for ``rounds`` calls timed by hand."""
+    times = []
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return {
+        "mean_s": statistics.fmean(times),
+        "min_s": min(times),
+        "max_s": max(times),
+        "stddev_s": statistics.stdev(times),
+        "rounds": rounds,
+    }
+
+
+def _late_slots(tuning) -> int:
+    """Slots holding a late heartbeat, from cumulative per-slot records."""
+    cumulative = [0] + [rec.qos.mistakes for rec in tuning]
+    return sum(1 for a, b in zip(cumulative, cumulative[1:]) if b > a)
+
+
 def test_vectorized_sfd_throughput(benchmark, view):
+    """SFD replay at the bench's spec, and with every slot late.
+
+    The kernel scans a slot's arrivals only when one of them could be
+    late, so its rate depends on how many slots hold a late heartbeat.
+    The spec's margin tunes to where few do.  Pinning the margin at 0
+    (``sm_bounds=(0, 0)``) makes every slot of this view late: the
+    kernel's worst case.  The fixture times the spec, the all-late case
+    is timed by hand on the same view, and both are also timed as
+    interleaved min-of-5 CPU time.
+    """
     spec = SFDSpec(
         requirements=REQ, sm1=0.1, window=1000, slot=SlotConfig(100)
     )
-    benchmark(lambda: replay(spec, view))
-    # The slot loop costs more than pure array code but must stay fast
-    # enough for sweeps.
-    assert len(view) / benchmark.stats["mean"] > 2e5
+    all_late = dataclasses.replace(spec, sm_bounds=(0.0, 0.0))
+    res = benchmark(lambda: replay(spec, view))
+    rate = len(view) / benchmark.stats["mean"]
+    late_res = replay(all_late, view)
+    late_timing = _wall_stats(lambda: replay(all_late, view), rounds=10)
+    late_rate = len(view) / late_timing["mean_s"]
+    cpu = interleaved_min(
+        5, (lambda: replay(spec, view), lambda: replay(all_late, view))
+    )
+    cases = {}
+    for name, result, case_rate, timing, cpu_s in (
+        ("spec", res, rate, bench_stats(benchmark), cpu[0]),
+        ("all_late", late_res, late_rate, late_timing, cpu[1]),
+    ):
+        cases[name] = {
+            "heartbeats_per_s": case_rate,
+            "timing": timing,
+            "min_of_5_cpu_s": cpu_s,
+            "slots": len(result.tuning),
+            "late_slots": _late_slots(result.tuning),
+            "final_margin": result.final_margin,
+            "qos": qos_dict(result.qos),
+        }
+    emit(
+        "throughput_sfd",
+        f"vectorized SFD replay ({len(view)} heartbeats, window 1000, "
+        "slot 100): "
+        + "; ".join(
+            f"{name} {c['heartbeats_per_s'] / 1e6:.2f} M heartbeats/s "
+            f"({c['late_slots']} of {c['slots']} slots late)"
+            for name, c in cases.items()
+        ),
+        data={
+            "detector": "sfd",
+            "heartbeats": len(view),
+            "window": 1000,
+            "slot": 100,
+            "cases": cases,
+        },
+    )
+    assert rate > 1e6
+    # Every slot is scanned, but the loop must stay fast enough for sweeps.
+    assert late_rate > 2e5
 
 
 def test_vectorized_quantile_throughput(benchmark, view):

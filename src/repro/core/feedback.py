@@ -334,14 +334,15 @@ class FeedbackDriver:
         if snapshot is None:
             return value
         after = self.clamp(value + delta)
+        # Positional: keywords cost a measurable share of a slot close.
         record = TuningRecord(
-            slot=self._slot_index,
-            time=now,
-            sm_before=value,
-            sm_after=after,
-            decision=self.controller.last_decision or Satisfaction.STABLE,
-            qos=snapshot,
-            status=self.controller.status,
+            self._slot_index,
+            now,
+            value,
+            after,
+            self.controller.last_decision or Satisfaction.STABLE,
+            snapshot,
+            self.controller.status,
         )
         self.trace.append(record)
         if self.on_slot is not None:
@@ -358,15 +359,10 @@ class FeedbackDriver:
         mt = min(max(mistake_time - mt0, 0.0), total)
         tc = td_count - tc0
         td = (td_sum - ts0) / tc if tc else float("nan")
-        return QoSReport(
-            detection_time=td,
-            mistake_rate=(mistakes - m0) / total,
-            query_accuracy=1.0 - mt / total,
-            mistakes=mistakes - m0,
-            mistake_time=mt,
-            accounted_time=total,
-            samples=tc,
-        )
+        m = mistakes - m0
+        # Field order: detection_time, mistake_rate, query_accuracy,
+        # mistakes, mistake_time, accounted_time, samples.
+        return QoSReport(td, m / total, 1.0 - mt / total, m, mt, total, tc)
 
     def end_slot(
         self,

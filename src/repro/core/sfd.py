@@ -89,7 +89,7 @@ class SFD(SelfTuningMonitor):
     ):
         if sm1 is None:
             sm1 = alpha
-        if sm1 < 0:
+        if not (sm1 >= 0):
             raise ConfigurationError(f"SM1 must be >= 0, got {sm1!r}")
         if not (0.0 <= sm_bounds[0]):
             raise ConfigurationError(f"invalid sm_bounds {sm_bounds!r}")

@@ -70,7 +70,10 @@ class SelfTuningMonitor(FailureDetector):
     slot:
         Adjustment cadence.
     knob_bounds:
-        Clamp for the tuned attribute (default ``[0, inf)``).
+        Clamp for the tuned attribute (default ``[0, inf)``).  Both bounds
+        are assigned to the detector once at construction, so a bound its
+        knob rejects (φ's threshold and the fixed timeout must be > 0)
+        fails here rather than at the slot that reaches it.
     """
 
     def __init__(
@@ -98,7 +101,19 @@ class SelfTuningMonitor(FailureDetector):
             self.slot,
             knob_bounds,
         )
-        self._initial = self._driver.clamp(float(getattr(detector, knob)))
+        initial = float(getattr(detector, knob))
+        # The knob can reach either bound, so both must lie in the
+        # detector's domain; its own setter is the judge.
+        for bound in self._driver.bounds:
+            try:
+                setattr(detector, knob, bound)
+            except ConfigurationError as exc:
+                setattr(detector, knob, initial)
+                raise ConfigurationError(
+                    f"knob_bounds {knob_bounds!r} leave the domain of "
+                    f"{type(detector).__name__}.{knob}: {exc}"
+                ) from exc
+        self._initial = self._driver.clamp(initial)
         setattr(detector, knob, self._initial)
         #: The knob value the current freshness point was computed with: a
         #: slot close moves the knob only for the freshness points after it.

@@ -33,19 +33,20 @@ class FixedTimeoutFD(TimeoutFailureDetector):
     name = "fixed"
 
     def __init__(self, timeout: float, *, warmup: int = 2):
-        if timeout <= 0:
-            raise ConfigurationError(f"timeout must be > 0, got {timeout!r}")
         super().__init__(warmup=warmup)
-        self.freshness_offset = float(timeout)
+        self.fixed_timeout = timeout
 
     @property
     def fixed_timeout(self) -> float:
         """The constant interval: a tunable knob stored once, as
-        ``freshness_offset``, which batch ingest lanes read directly."""
+        ``freshness_offset``, which batch ingest lanes read directly.
+        Checked on every assignment: a tuning monitor moves it."""
         return self.freshness_offset
 
     @fixed_timeout.setter
     def fixed_timeout(self, value: float) -> None:
+        if not (value > 0):
+            raise ConfigurationError(f"timeout must be > 0, got {value!r}")
         self.freshness_offset = float(value)
 
     def _ingest(self, seq: int, arrival: float, send_time: float | None) -> None:

@@ -103,14 +103,23 @@ class PhiFD(TimeoutFailureDetector):
         window_size: int = 1000,
         gap_filler: GapFiller | None = None,
     ):
-        if threshold <= 0:
-            raise ConfigurationError(f"threshold must be > 0, got {threshold!r}")
         super().__init__(warmup=max(2, window_size))
-        self.threshold = float(threshold)
+        self.threshold = threshold
         self._window = SampleWindow(window_size)
         self._gap_filler = gap_filler
         self._prev_arrival: float | None = None
         self._prev_seq: int | None = None
+
+    @property
+    def threshold(self) -> float:
+        """``Φ``, checked on every assignment: a tuning monitor moves it."""
+        return self._threshold
+
+    @threshold.setter
+    def threshold(self, value: float) -> None:
+        if not (value > 0):
+            raise ConfigurationError(f"threshold must be > 0, got {value!r}")
+        self._threshold = float(value)
 
     @property
     def window_size(self) -> int:
@@ -143,7 +152,7 @@ class PhiFD(TimeoutFailureDetector):
 
     def _next_freshness(self) -> float:
         mu, sigma = self.interarrival_stats()
-        return self.last_arrival + phi_equivalent_timeout(self.threshold, mu, sigma)
+        return self.last_arrival + phi_equivalent_timeout(self._threshold, mu, sigma)
 
     def suspicion(self, now: float) -> float:
         """The φ level at ``now`` (accrual scale, not the overdue time)."""
@@ -153,7 +162,7 @@ class PhiFD(TimeoutFailureDetector):
         return phi_value(float(now) - self.last_arrival, mu, sigma)
 
     def binary_threshold(self) -> float:
-        return self.threshold
+        return self._threshold
 
     #: ``z`` such that ``φ(μ + σz) = level``, cached per level: the wheel
     #: asks for the same three status-boundary levels on every heartbeat.

@@ -150,7 +150,15 @@ def _report(
     # suspicion interval extends to the last arrival; clamp to keep QAP in
     # its domain.
     mistake_time = min(mistake_time, total)
-    td = float(np.mean(detection_times)) if detection_times.size else math.nan
+    td = math.nan
+    if detection_times.size:
+        td = float(np.mean(detection_times))
+        # The streaming rule (MistakeAccumulator.add_detection_sample) as
+        # one scalar test per job: a NaN or -inf sample makes the mean so.
+        if not td > -math.inf:
+            raise ConfigurationError(
+                f"detection sample must be a number or +inf, got {td!r}"
+            )
     return QoSReport(
         detection_time=td,
         mistake_rate=mistakes / total,

@@ -25,7 +25,12 @@ Key identities used (derivations in the docstrings):
   interpolation between them then runs as ufuncs, so the result stays
   bitwise equal to the streaming sorted window.
 * SFD's margin changes only at slot boundaries, so its replay is a loop
-  over ~(heartbeats/slot) slots with vectorized work inside each.
+  over ~(heartbeats/slot) slots.  What does not depend on the margin is
+  computed once per call: each slot's detection-time sum and a *late
+  bound*, a margin at or above which none of the slot's arrivals is late.
+  A slot runs array code only when its first arrival is late or its
+  margin is below its bound; rounded addition is monotone, so skipping
+  the others is exact.
 
 Families whose sweep parameter enters late are split in two: a *stage*
 function computes the arrays that do not depend on the swept parameter
@@ -513,66 +518,129 @@ def sfd_evaluate(
 
     ``ea`` is :func:`chen_expected_arrivals` at ``window`` — the part of
     the replay that no margin decision feeds back into.
+
+    Accounting starts at index ``r0 = window − 1`` and slot ``k`` covers
+    ``[r0 + k·h, r0 + (k+1)·h)`` for ``h = slot.heartbeats``.  Everything
+    that does not depend on the margin is computed once per call: each
+    full slot's ``Σ(EA − σ)`` (one row-wise reduce, equal to ``np.sum``
+    of the slot's slice), its late bound (:func:`_late_bounds`), and the
+    slot-edge scalars.  Mistakes are attributed to the *revealing*
+    arrival, as streaming discovers a late heartbeat when it arrives, so
+    the snapshot that closes a slot at its last arrival has seen exactly
+    the reveals up to it.  A slot's first reveal is guarded by the
+    previous slot's margin and is checked as a scalar; its body reveals
+    are guarded by its own margin ``SM``.  When the first reveal is on
+    time and ``SM`` is at least the slot's bound, no reveal of the slot
+    is late, and the slot is not scanned; otherwise its reveals are
+    scanned as arrays.
+
+    The skip is exact, not approximate.  Rounded float64 addition is
+    monotone, so ``SM ≥ T`` gives ``fl(EA + SM) ≥ fl(EA + T) ≥ A`` for
+    every body reveal, where the second inequality is the exact check
+    the bound passed.  A skipped slot therefore adds 0 mistakes and 0.0
+    mistake time, which is what scanning it would add.  Freshness points
+    are written once at the end, with the last margin on the trailing
+    partial slot; that slot never closes, so its tallies are not
+    computed.
     """
     slot = slot if slot is not None else SlotConfig()
     if sm1 is None:
         sm1 = alpha
+    if not (sm1 >= 0):
+        raise ConfigurationError(f"SM1 must be >= 0, got {sm1!r}")
     if not (0.0 <= sm_bounds[0]):
         raise ConfigurationError(f"invalid sm_bounds {sm_bounds!r}")
     _require_view(view, window + 1)
     arrivals = view.arrivals
-    sends = view.send_times
     n = arrivals.size
+    h = slot.heartbeats
     r0 = window - 1  # first index with a full window (streaming `ready`)
-    base_td = ea - sends  # TD[r] = FP[r] − σ_r = (EA[r] − σ_r) + SM
+    slots = (n - r0) // h
+    end = r0 + slots * h  # [end, n) is the trailing partial slot
     driver = FeedbackDriver(
         FeedbackController(requirements, alpha=alpha, beta=beta, policy=policy),
         slot,
         sm_bounds,
     )
     sm = driver.clamp(float(sm1))
-    fp = np.full(n, np.nan, dtype=np.float64)
-    # Cumulative accounting scalars (mirror MistakeAccumulator): mistakes
-    # are attributed to the *revealing* arrival (streaming discovers a late
-    # heartbeat when it arrives), so a slot snapshot at arrival `stop−1`
-    # has seen exactly the reveals with index <= stop−1.
+    # Margin-independent, once per call; one row per full slot.
+    a_rows = arrivals[r0:end].reshape(slots, h)
+    ea_rows = ea[r0:end].reshape(slots, h)
+    # TD[r] = FP[r] − σ_r = (EA[r] − σ_r) + SM, so a slot adds
+    # Σ(EA − σ) + SM·h to the detection-time tally.
+    td_rows = np.add.reduce(
+        (ea[r0:end] - view.send_times[r0:end]).reshape(slots, h), axis=1
+    )
+    per_slot = zip(
+        td_rows.tolist(),
+        _late_bounds(a_rows, ea_rows).tolist(),
+        a_rows[:, 0].tolist(),
+        a_rows[:, -1].tolist(),
+        ea_rows[:, -1].tolist(),
+    )
+    margins = np.empty(slots, dtype=np.float64)
+    # Cumulative accounting scalars (mirror MistakeAccumulator).
     td_sum = 0.0
     td_count = 0
     mistakes = 0
     mistake_time = 0.0
     t_begin = float(arrivals[r0])
-    start = r0
-    while start < n:
-        stop = min(start + slot.heartbeats, n)  # segment [start, stop)
-        seg = slice(start, stop)
-        fp[seg] = ea[seg] + sm
-        td_sum += float(np.sum(base_td[seg])) + sm * (stop - start)
-        td_count += stop - start
-        # Reveals in this segment: arrivals j in (start, stop) check the
-        # guard fp[j−1] (possibly written with the previous slot's margin;
-        # fp is filled progressively so that value is already final).  The
-        # first segment's first reveal is r0+1.
-        j0 = start + 1 if start == r0 else start
-        if stop > j0:
-            gap = arrivals[j0:stop] - np.maximum(
-                fp[j0 - 1 : stop - 1], arrivals[j0 - 1 : stop - 1]
-            )
+    close_slot = driver.close_slot
+    # A and FP of the heartbeat before the slot: its first heartbeat is
+    # late iff it arrives after both.  Slot 0's first heartbeat is index
+    # r0, which reveals nothing, so it always passes.
+    prev_a = prev_fp = math.inf
+    for k, (td_k, bound, a_first, a_last, ea_last) in enumerate(per_slot):
+        td_sum += td_k + sm * h
+        td_count += h
+        if not ((a_first <= prev_a or a_first <= prev_fp) and sm >= bound):
+            start = r0 + k * h
+            lo = start + 1 if k == 0 else start
+            stop = start + h
+            guard = ea[lo - 1 : stop - 1] + sm
+            if k:
+                guard[0] = prev_fp  # written with the previous slot's margin
+            gap = arrivals[lo:stop] - np.maximum(guard, arrivals[lo - 1 : stop - 1])
             pos = gap > 0.0
             mistakes += int(np.count_nonzero(pos))
             mistake_time += float(np.sum(gap[pos]))
-        if stop - start == slot.heartbeats:
-            # Full slot completed: streaming closes it at the arrival of
-            # the slot's last heartbeat (index stop−1).
-            sm = driver.close_slot(
-                float(arrivals[stop - 1]),
-                sm,
-                t_begin,
-                mistakes,
-                mistake_time,
-                td_sum,
-                td_count,
-            )
-        start = stop
+        margins[k] = sm
+        prev_a = a_last
+        prev_fp = ea_last + sm
+        # Streaming closes the slot at the arrival of its last heartbeat.
+        sm = close_slot(
+            a_last, sm, t_begin, mistakes, mistake_time, td_sum, td_count
+        )
+    fp = np.empty(n, dtype=np.float64)
+    fp[:r0] = np.nan
+    np.add(ea_rows, margins[:, None], out=fp[r0:end].reshape(slots, h))
+    fp[end:] = ea[end:] + sm
     return KernelRun(
         freshness=fp, tuning=driver.trace, final_margin=sm, status=driver.status
     )
+
+
+def _late_bounds(a_rows: np.ndarray, ea_rows: np.ndarray) -> np.ndarray:
+    """Per slot, a margin at or above which no body reveal is late.
+
+    Row ``k`` holds slot ``k``'s arrivals ``A`` and Chen predictions
+    ``EA``.  Body reveal ``j`` (every column but the first) is late under
+    margin ``SM`` iff ``A_j > max(fl(EA_{j−1} + SM), A_{j−1})``, so only
+    reveals with ``A_j > A_{j−1}`` can be.  The bound ``T`` is the largest
+    ``fl(A_j − EA_{j−1})`` over those, or ``−inf`` when there are none.
+    ``fl(EA_{j−1} + T) ≥ A_j`` is then checked exactly for each of them.
+    It holds whenever the subtraction is exact, which Sterbenz's lemma
+    guarantees while ``A_j`` and ``EA_{j−1}`` are within a factor of two;
+    a slot that fails, which includes a NaN bound, gets ``T = +inf`` and
+    is scanned under any finite margin.
+    """
+    body = a_rows[:, 1:]
+    idle = ~(body > a_rows[:, :-1])
+    need = body - ea_rows[:, :-1]
+    need[idle] = -np.inf
+    bound = np.max(need, axis=1, initial=-np.inf)
+    np.add(ea_rows[:, :-1], bound[:, None], out=need)
+    covered = need >= body
+    covered |= idle
+    bound[~covered.all(axis=1)] = np.inf
+    return bound

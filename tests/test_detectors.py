@@ -195,6 +195,19 @@ class TestPhiFD:
         with pytest.raises(ConfigurationError):
             phi_equivalent_timeout(-1.0, 0.1, 0.02)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_threshold_checked_on_assignment(self, bad):
+        # A tuning monitor moves the threshold after construction: the
+        # constructor's rule holds for every assignment, and NaN fails it.
+        with pytest.raises(ConfigurationError, match="threshold must be > 0"):
+            PhiFD(bad)
+        fd = PhiFD(2.0, window_size=10)
+        with pytest.raises(ConfigurationError, match="threshold must be > 0"):
+            fd.threshold = bad
+        assert fd.threshold == 2.0
+        fd.threshold = math.inf
+        assert fd.binary_threshold() == math.inf
+
     def test_phi_series_vectorized_matches_scalar(self):
         fd = PhiFD(3.0, window_size=10)
         view = feed_regular(fd, n=30)
@@ -220,6 +233,15 @@ class TestFixedTimeoutFD:
     def test_timeout_validation(self):
         with pytest.raises(ConfigurationError):
             FixedTimeoutFD(0.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_timeout_checked_on_assignment(self, bad):
+        with pytest.raises(ConfigurationError, match="timeout must be > 0"):
+            FixedTimeoutFD(bad)
+        fd = FixedTimeoutFD(0.5)
+        with pytest.raises(ConfigurationError, match="timeout must be > 0"):
+            fd.fixed_timeout = bad
+        assert fd.fixed_timeout == fd.freshness_offset == 0.5
 
     def test_reset(self):
         fd = FixedTimeoutFD(0.5)

@@ -89,6 +89,19 @@ class TestQoSFromIntervals:
         )
         assert math.isnan(qos.detection_time)
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_rejects_samples_the_accumulator_rejects(self, bad):
+        # The batch paths apply MistakeAccumulator.add_detection_sample's
+        # rule to the samples' mean; +inf stays a legal sample.
+        with pytest.raises(ConfigurationError, match="detection sample"):
+            qos_from_intervals(
+                np.empty(0), np.empty(0), np.array([0.5, bad]), 0.0, 10.0
+            )
+        qos = qos_from_intervals(
+            np.empty(0), np.empty(0), np.array([0.5, math.inf]), 0.0, 10.0
+        )
+        assert qos.detection_time == math.inf
+
     def test_mistake_time_clamped_to_period(self):
         qos = qos_from_intervals(
             np.array([0.0]), np.array([20.0]), np.empty(0), t_begin=0.0, t_end=10.0

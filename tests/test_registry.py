@@ -11,6 +11,7 @@ and the CLI all dispatch through these bindings blindly.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -405,6 +406,39 @@ class TestInvalidWindow:
             replay(fam.make_spec(**params, window=window), small_view)
         with pytest.raises(ConfigurationError, match="window"):
             registry.make_detector(fam.make_spec(**params, window=window))
+
+
+# A NaN in each family's sweep parameter (bertier has none; its margin
+# gain ``phi`` stands in), for the NaN harness, which also iterates
+# ``registry.names()``.
+NAN_CASES = {
+    "chen": {"alpha": math.nan, "window": 100},
+    "bertier": {"phi": math.nan, "window": 100},
+    "phi": {"threshold": math.nan, "window": 100},
+    "quantile": {"quantile": math.nan, "window": 100},
+    "fixed": {"timeout": math.nan},
+    "ml": {"margin": math.nan, "window": 16},
+    "sfd": {"requirements": REQ, "sm1": math.nan, "window": 100},
+}
+
+
+class TestNaNParameter:
+    """A NaN parameter is a configuration error in replay, as it is on the
+    streaming hosts, never a report of ``TD = nan`` and perfect accuracy
+    drawn from NaN freshness points."""
+
+    def test_every_registered_family_has_a_case(self):
+        assert set(NAN_CASES) == set(registry.names())
+
+    @pytest.mark.parametrize("name", sorted(registry.names()))
+    def test_rejected_by_replay(self, small_view, name):
+        try:
+            params = NAN_CASES[name]
+        except KeyError:
+            pytest.fail(f"registered family {name!r} has no NAN_CASES entry")
+        spec = registry.get(name).make_spec(**params)
+        with pytest.raises(ConfigurationError):
+            replay(spec, small_view)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

@@ -152,6 +152,16 @@ class TestSFDEquivalence:
         with pytest.raises(ConfigurationError):
             sfd_freshness(view, REQ, window=50)
 
+    @pytest.mark.parametrize("sm1", [-0.5, math.nan])
+    def test_sm1_rule_matches_streaming(self, noisy_view, sm1):
+        # Streaming SFD rejects these at construction (test_sfd.py); the
+        # kernel used to clamp -0.5 into sm_bounds and run on NaN.
+        spec = SFDSpec(requirements=REQ, sm1=sm1, window=40, slot=SlotConfig(50))
+        with pytest.raises(ConfigurationError, match="SM1 must be >= 0"):
+            replay(spec, noisy_view)
+        with pytest.raises(ConfigurationError, match="SM1 must be >= 0"):
+            sfd_freshness(noisy_view, REQ, sm1=sm1, window=40)
+
 
 class TestReplayEngine:
     def test_all_specs_produce_reports(self, noisy_view):

@@ -1,12 +1,14 @@
 """Streaming SFD: Eqs. 11-13, Algorithm 1, accrual output, self-accounting."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, NotWarmedUpError
 from repro.core import SFD, InfeasiblePolicy, SlotConfig, TuningStatus
 from repro.core.tuning import SelfTuningMonitor
-from repro.detectors import ChenFD
+from repro.detectors import ChenFD, FixedTimeoutFD, PhiFD
 from repro.qos.spec import QoSRequirements, Satisfaction
 
 from conftest import regular_view, stream_freshness
@@ -49,6 +51,15 @@ class TestConstruction:
     def test_negative_sm1_rejected(self):
         with pytest.raises(ConfigurationError):
             SFD(LOOSE, sm1=-0.1)
+
+    @pytest.mark.parametrize("sm1", [-0.5, math.nan])
+    def test_sm1_rule(self, sm1):
+        # The replay kernel applies the same rule (test_replay.py).
+        with pytest.raises(ConfigurationError, match="SM1 must be >= 0"):
+            SFD(LOOSE, sm1=sm1)
+
+    def test_zero_sm1_is_legal(self):
+        assert SFD(LOOSE, sm1=0.0, window_size=10).safety_margin == 0.0
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -283,6 +294,65 @@ class TestGeneralMethodEquivalence:
         mon.reset()
         assert not mon.ready and mon.tuning_trace == []
         assert mon.knob_value == 1.0
+
+
+class TestKnobDomain:
+    """A tuned knob stays in its detector's domain.
+
+    With the default ``knob_bounds=(0, inf)`` a tight detection-time bound
+    walks φ's threshold and the fixed timeout down to 0, which neither
+    detector accepts.  Both bounds are assigned at construction, so such a
+    monitor fails there, not on every heartbeat after the slot that
+    reaches the bound (φ) or by running with a timeout of 0 (fixed).
+    """
+
+    TOO_FAST = QoSRequirements(max_detection_time=0.001)
+
+    @staticmethod
+    def detectors():
+        return [
+            (PhiFD(0.1, window_size=5), "threshold"),
+            (FixedTimeoutFD(0.1), "fixed_timeout"),
+        ]
+
+    @pytest.mark.parametrize("case", [0, 1], ids=("phi", "fixed"))
+    def test_default_bounds_rejected_at_construction(self, case):
+        detector, knob = self.detectors()[case]
+        with pytest.raises(ConfigurationError, match="knob_bounds"):
+            SelfTuningMonitor(
+                detector, knob, self.TOO_FAST, alpha=0.2, slot=SlotConfig(5)
+            )
+        assert getattr(detector, knob) == 0.1
+
+    @pytest.mark.parametrize("case", [0, 1], ids=("phi", "fixed"))
+    def test_positive_lower_bound_tunes_to_it(self, case):
+        detector, knob = self.detectors()[case]
+        mon = SelfTuningMonitor(
+            detector,
+            knob,
+            self.TOO_FAST,
+            alpha=0.2,
+            slot=SlotConfig(5),
+            knob_bounds=(0.05, 16.0),
+        )
+        assert mon.knob_value == 0.1
+        feed(mon, regular_view(n=40))
+        assert mon.tuning_trace
+        assert mon.knob_value == 0.05
+
+    def test_zero_stays_legal_for_chen_and_sfd(self):
+        mon = SelfTuningMonitor(
+            ChenFD(0.1, window_size=5),
+            "alpha",
+            self.TOO_FAST,
+            alpha=0.2,
+            slot=SlotConfig(5),
+        )
+        feed(mon, regular_view(n=40))
+        assert mon.knob_value == 0.0
+        sfd = SFD(self.TOO_FAST, sm1=0.1, window_size=5, slot=SlotConfig(5))
+        feed(sfd, regular_view(n=40))
+        assert sfd.safety_margin == 0.0
 
 
 class TestRuntimeRetargeting:
