@@ -6,7 +6,7 @@ multi-million-heartbeat traces per parameter point.  Two layers are
 timed here:
 
 * **kernels in isolation** — the vectorized Chen/Bertier/φ/SFD replays
-  and the quantile stage on a pre-extracted in-memory view (the
+  and the quantile and ml stages on a pre-extracted in-memory view (the
   historical bench), plus the per-event streaming reference on a slice;
 * **the full pipeline** — open a multi-million-heartbeat *columnar
   store* from disk, replay it, and produce a QoS report, which is what
@@ -27,8 +27,10 @@ import time
 
 import pytest
 
+import numpy as np
+
 from repro.core import SFD, SlotConfig
-from repro.detectors import BertierFD, ChenFD
+from repro.detectors import MLFD, BertierFD, ChenFD
 from repro.obs import Instruments
 from repro.qos.spec import QoSRequirements
 from repro.replay import (
@@ -38,7 +40,7 @@ from repro.replay import (
     SFDSpec,
     replay,
 )
-from repro.replay.vectorized import quantile_stage
+from repro.replay.vectorized import ml_prediction_arrays, quantile_stage
 from repro.traces import TraceStore, WAN_JAIST, synthesize, synthesize_to
 
 from _common import SEED, bench_stats, emit, interleaved_min, qos_dict
@@ -199,6 +201,69 @@ def test_vectorized_quantile_throughput(benchmark, view):
     )
     assert sorted(stage) == list(qs)
     assert rate > 2e6
+
+
+def test_vectorized_ml_throughput(benchmark, view):
+    """The ml stage of a sweep group: the NLMS pass at window 1000.
+
+    The learned recursion has no closed form, so the stage is one Python
+    loop over every gap (``OnlineArrivalPredictor.extend``, the loop the
+    streaming detector runs too) and its rate is the interpreter's.  The
+    fixture times ``perfbench`` ``sweep``'s spec, window 1000.  Windows
+    16 and 1000, and the streaming ``MLFD.observe`` over the 20k slice
+    the other streaming references use, are also timed as interleaved
+    min-of-5 CPU time.
+    """
+    pred, jit = benchmark(lambda: ml_prediction_arrays(view, window=1000))
+    rate = len(view) / benchmark.stats["mean"]
+    seq = view.seq[:20_000]
+    arr = view.arrivals[:20_000]
+    snd = view.send_times[:20_000]
+
+    def stream():
+        fd = MLFD(2.0, window_size=1000)
+        for s, a, t in zip(seq, arr, snd):
+            fd.observe(int(s), float(a), float(t))
+
+    windows = (16, 1000)
+    *stage_cpu, stream_cpu = interleaved_min(
+        5,
+        [lambda w=w: ml_prediction_arrays(view, window=w) for w in windows]
+        + [stream],
+    )
+    stage_rates = {
+        f"window_{w}": len(view) / t for w, t in zip(windows, stage_cpu)
+    }
+    emit(
+        "throughput_ml",
+        f"vectorized ml stage: {rate / 1e6:.2f} M heartbeats/s "
+        f"({len(view)} heartbeats, window 1000); interleaved min-of-5 CPU: "
+        + ", ".join(
+            f"window {w} {r / 1e6:.2f} M" for w, r in zip(windows, stage_rates.values())
+        )
+        + f" heartbeats/s, streaming MLFD.observe "
+        f"{stream_cpu / 20_000 * 1e6:.2f} us per heartbeat (window 1000)",
+        data={
+            "detector": "ml",
+            "heartbeats": len(view),
+            "window": 1000,
+            "heartbeats_per_s": rate,
+            "timing": bench_stats(benchmark),
+            "min_of_5_cpu_s": {
+                f"window_{w}": t for w, t in zip(windows, stage_cpu)
+            },
+            "min_of_5_cpu_heartbeats_per_s": stage_rates,
+            "streaming": {
+                "heartbeats": 20_000,
+                "window": 1000,
+                "margin": 2.0,
+                "min_of_5_cpu_s": stream_cpu,
+                "us_per_heartbeat": stream_cpu / 20_000 * 1e6,
+            },
+        },
+    )
+    assert np.isfinite(pred[1:]).all() and np.isfinite(jit[1:]).all()
+    assert rate > 7e5
 
 
 def test_streaming_reference_for_scale(benchmark, view):

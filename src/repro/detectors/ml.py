@@ -34,9 +34,11 @@ so the sweep parameter ``margin`` scales a *learned* uncertainty estimate
 freshness deadline is strictly monotone in ``margin`` (the floor keeps
 the scale positive even on perfectly regular links).
 
-Everything is stdlib floats and deterministic: given the same trace the
-streaming detector and the replay kernel produce bit-identical freshness
-points (the registry-wide differential harness asserts it), which is the
+Everything is stdlib floats and deterministic.  The recursion is written
+once, as :meth:`OnlineArrivalPredictor.extend`: the streaming detector
+feeds it one gap per heartbeat and the replay stage a whole trace per
+call, so given the same trace both produce bit-identical freshness points
+(the registry-wide differential harness asserts it), which is the
 precondition for judging a learned detector on the paper's own QoS
 accounting.
 """
@@ -44,7 +46,7 @@ accounting.
 from __future__ import annotations
 
 import math
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping, MutableSequence
 
 from repro.errors import ConfigurationError, NotWarmedUpError
 from repro.detectors.base import TimeoutFailureDetector
@@ -67,12 +69,13 @@ _N_FEATURES = 5
 class OnlineArrivalPredictor:
     """Online NLMS regression over recent inter-arrival features.
 
-    This is the *shared sequential core* of the ``ml`` family: the
-    streaming :class:`MLFD` feeds it one gap per heartbeat, and the
-    vectorized replay kernel runs the very same instance over
-    ``np.diff(arrivals)`` — one implementation, so the two paths cannot
-    drift apart (the same construction the SFD kernel uses for its
-    feedback controller).
+    This is the *shared sequential core* of the ``ml`` family, and
+    :meth:`extend` is its one loop: the streaming :class:`MLFD` feeds it
+    one gap per heartbeat (through :meth:`update`), and the replay stage
+    feeds it ``np.diff(arrivals)`` in one call — one implementation, so
+    the two planes cannot drift apart.  The learned recursion has no
+    closed form; what the one-call form saves is Python overhead, not
+    arithmetic.
 
     Parameters
     ----------
@@ -97,6 +100,7 @@ class OnlineArrivalPredictor:
         "_jitter",
         "_count",
         "_features",
+        "_yhat",
     )
 
     def __init__(self, *, lr: float = 0.05, window: int = 16, decay: float = 0.1):
@@ -109,17 +113,7 @@ class OnlineArrivalPredictor:
         self.lr = float(lr)
         self.window = int(window)
         self.decay = float(decay)
-        # Start by trusting the sliding mean (weight 1 on that feature):
-        # the cold-start prediction is the windowed mean gap, which NLMS
-        # then refines — deterministic, no random initialization.
-        self._weights = [0.0, 0.0, 1.0, 0.0, 0.0]
-        self._ring: list[float] = []
-        self._head = 0
-        self._sum = 0.0
-        self._ewma = 0.0
-        self._jitter = 0.0
-        self._count = 0
-        self._features: tuple[float, ...] | None = None
+        self.reset()
 
     # -- online learning ------------------------------------------------ #
 
@@ -134,74 +128,117 @@ class OnlineArrivalPredictor:
         return self._jitter
 
     def update(self, gap: float) -> None:
-        """Consume one inter-arrival gap: train, then refresh features.
-
-        The gap first serves as the *target* for the prediction made from
-        the previous feature vector (one NLMS step), then it is folded
-        into the lag window / EWMA state from which the next prediction
-        is formed.
-        """
+        """Consume one inter-arrival gap: :meth:`extend` over that gap,
+        after rejecting a non-finite one with :class:`ConfigurationError`."""
         gap = float(gap)
         if not math.isfinite(gap):
             raise ConfigurationError(f"gap must be finite, got {gap!r}")
-        x = self._features
-        if x is not None:
-            w = self._weights
-            yhat = (
-                w[0] * x[0] + w[1] * x[1] + w[2] * x[2] + w[3] * x[3] + w[4] * x[4]
-            )
-            err = gap - yhat
-            if math.isfinite(err):
-                norm = NLMS_EPSILON + (
-                    x[0] * x[0]
-                    + x[1] * x[1]
-                    + x[2] * x[2]
-                    + x[3] * x[3]
-                    + x[4] * x[4]
-                )
-                step = self.lr * err / norm
-                if math.isfinite(step):
-                    for i in range(_N_FEATURES):
-                        w[i] += step * x[i]
-        # Lag window (ring buffer with running sum).
-        if len(self._ring) == self.window:
-            self._sum -= self._ring[self._head]
-            self._ring[self._head] = gap
-            self._head = (self._head + 1) % self.window
-        else:
-            self._ring.append(gap)
-        self._sum += gap
-        mean = self._sum / len(self._ring)
-        # EWMA + jitter (deviation measured against the pre-update EWMA,
-        # like Jacobson's variance estimator).
-        if self._count == 0:
-            self._ewma = gap
-            self._jitter = 0.0
-        else:
-            dev = abs(gap - self._ewma)
-            self._ewma += self.decay * (gap - self._ewma)
-            self._jitter += self.decay * (dev - self._jitter)
-        self._count += 1
-        self._features = (1.0, gap, mean, self._ewma, self._jitter)
+        self.extend((gap,))
+
+    def extend(
+        self,
+        gaps: Iterable[float],
+        pred: MutableSequence[float] | None = None,
+        jitter: MutableSequence[float] | None = None,
+    ) -> None:
+        """Consume finite inter-arrival gaps in order: the NLMS recursion.
+
+        Each gap first serves as the *target* for the prediction made
+        from the previous feature vector (one NLMS step), then it is
+        folded into the lag window / EWMA state from which the next
+        feature vector and prediction are formed.  After each gap the
+        next prediction (as :meth:`predict` returns it) is appended to
+        ``pred`` and the jitter to ``jitter``, when given.
+
+        This loop is the family's only implementation of the recursion:
+        :meth:`update` feeds it one gap per heartbeat, and
+        :func:`repro.replay.vectorized.ml_prediction_arrays` feeds it a
+        whole trace in one call, so both planes run the same float64
+        operations in the same order.  The state is read into locals
+        once and written back once, and ``w·x`` is computed once per gap
+        and kept as the next step's ``ŷ``.  The gaps are not checked
+        here; both callers reject a non-finite gap first.
+        """
+        # ``-inf < v < inf`` is ``math.isfinite(v)`` without a call per gap.
+        inf = math.inf
+        lr, window, decay = self.lr, self.window, self.decay
+        w0, w1, w2, w3, w4 = self._weights
+        ring, head, total = self._ring, self._head, self._sum
+        ewma, jit, count, yhat = self._ewma, self._jitter, self._count, self._yhat
+        filled = len(ring)
+        if count:
+            # The bias feature x0 is always 1.0, so its products fold away.
+            _, x1, x2, x3, x4 = self._features
+        append_pred = pred.append if pred is not None else None
+        append_jitter = jitter.append if jitter is not None else None
+        for gap in gaps:
+            if count:
+                err = gap - yhat
+                if -inf < err < inf:
+                    step = lr * err / (
+                        NLMS_EPSILON
+                        + ((((1.0 + x1 * x1) + x2 * x2) + x3 * x3) + x4 * x4)
+                    )
+                    if -inf < step < inf:
+                        w0 += step
+                        w1 += step * x1
+                        w2 += step * x2
+                        w3 += step * x3
+                        w4 += step * x4
+                # Jitter is the deviation from the pre-update EWMA, like
+                # Jacobson's variance estimator.
+                dev = gap - ewma
+                ewma += decay * dev
+                jit += decay * (abs(dev) - jit)
+            else:
+                ewma = gap
+                jit = 0.0
+            # Lag window: a ring buffer with a running sum.
+            if filled == window:
+                total -= ring[head]
+                ring[head] = gap
+                head += 1
+                if head == window:
+                    head = 0
+            else:
+                ring.append(gap)
+                filled += 1
+            total += gap
+            count += 1
+            x1, x2, x3, x4 = gap, total / filled, ewma, jit
+            yhat = w0 + w1 * x1 + w2 * x2 + w3 * x3 + w4 * x4
+            if append_pred is not None:
+                # A negative or non-finite ŷ falls back to the window mean.
+                if 0.0 <= yhat < inf:
+                    append_pred(yhat)
+                elif 0.0 <= x2 < inf:
+                    append_pred(x2)
+                else:
+                    append_pred(0.0)
+            if append_jitter is not None:
+                append_jitter(jit)
+        self._weights = [w0, w1, w2, w3, w4]
+        self._head, self._sum, self._count, self._yhat = head, total, count, yhat
+        self._ewma, self._jitter = ewma, jit
+        if count:
+            self._features = (1.0, x1, x2, x3, x4)
 
     def predict(self) -> float:
         """Predicted next inter-arrival gap (always finite, never < 0).
 
         A learned linear model can momentarily predict a negative or — in
         adversarial float ranges — non-finite gap; those fall back to the
-        sliding-window mean, so the freshness contract (finite deadlines
-        from finite inputs) holds unconditionally.
+        sliding-window mean (and a non-finite mean to 0), so the
+        freshness contract (finite deadlines from finite inputs) holds
+        unconditionally.
         """
-        x = self._features
-        if x is None:
+        if not self._count:
             raise NotWarmedUpError("ml predictor has no gap samples yet")
-        w = self._weights
-        p = w[0] * x[0] + w[1] * x[1] + w[2] * x[2] + w[3] * x[3] + w[4] * x[4]
-        if not math.isfinite(p) or p < 0.0:
-            p = self._sum / len(self._ring)
-            if not math.isfinite(p) or p < 0.0:  # pragma: no cover - paranoia
-                p = 0.0
-        return p
+        p = self._yhat
+        if 0.0 <= p < math.inf:
+            return p
+        p = self._sum / len(self._ring)
+        return p if 0.0 <= p < math.inf else 0.0
 
     def deadline(self, margin: float) -> float:
         """Relative freshness deadline: ``ŷ + margin·(jitter + floor)``.
@@ -236,42 +273,87 @@ class OnlineArrivalPredictor:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "OnlineArrivalPredictor":
         """Inverse of :meth:`to_dict`: the restored predictor replays
-        bit-identically to the one that was checkpointed."""
+        bit-identically to the one that was checkpointed.
+
+        Only a state :meth:`extend` can reach is accepted: ``count >= 0``;
+        the ring holds ``min(count, window)`` gaps; ``head`` is 0 while the
+        ring fills and an index into it once full; ``features`` is None
+        exactly when ``count`` is 0, and otherwise five values led by the
+        bias 1.0.
+        """
         try:
             out = cls(
                 lr=data["lr"], window=data["window"], decay=data["decay"]
             )
             weights = [float(v) for v in data["weights"]]
-            if len(weights) != _N_FEATURES:
-                raise ConfigurationError(
-                    f"expected {_N_FEATURES} weights, got {len(weights)}"
-                )
-            out._weights = weights
-            out._ring = [float(v) for v in data["ring"]]
-            out._head = int(data["head"])
+            ring = [float(v) for v in data["ring"]]
+            head = int(data["head"])
+            count = int(data["count"])
+            feats = data["features"]
+            features = (
+                tuple(float(v) for v in feats) if feats is not None else None
+            )
             out._sum = float(data["sum"])
             out._ewma = float(data["ewma"])
             out._jitter = float(data["jitter"])
-            out._count = int(data["count"])
-            feats = data["features"]
-            out._features = (
-                tuple(float(v) for v in feats) if feats is not None else None
-            )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(
                 f"bad ml predictor state: {exc}"
             ) from exc
+        window = out.window
+        if len(weights) != _N_FEATURES:
+            raise ConfigurationError(
+                f"expected {_N_FEATURES} weights, got {len(weights)}"
+            )
+        if count < 0:
+            raise ConfigurationError(f"count must be >= 0, got {count}")
+        if len(ring) != min(count, window):
+            raise ConfigurationError(
+                f"ring must hold min(count, window) = {min(count, window)} "
+                f"gaps, got {len(ring)}"
+            )
+        if not (0 <= head < window if len(ring) == window else head == 0):
+            raise ConfigurationError(
+                f"head {head} is outside the ring: it must be 0 while the "
+                f"ring fills and in [0, {window}) once it is full"
+            )
+        if (features is None) != (count == 0):
+            raise ConfigurationError(
+                f"features must be None exactly when count is 0 "
+                f"(count {count}, features {feats!r})"
+            )
+        if features is not None:
+            if len(features) != _N_FEATURES or features[0] != 1.0:
+                raise ConfigurationError(
+                    f"features must be {_N_FEATURES} values led by the bias "
+                    f"1.0, got {feats!r}"
+                )
+            # The next step's ŷ, as extend would have left it.
+            w, x = weights, features
+            out._yhat = w[0] + w[1] * x[1] + w[2] * x[2] + w[3] * x[3] + w[4] * x[4]
+        out._weights = weights
+        out._ring = ring
+        out._head = head
+        out._count = count
+        out._features = features
         return out
 
     def reset(self) -> None:
+        """Back to the cold-start state of a new predictor."""
+        # Start by trusting the sliding mean (weight 1 on that feature):
+        # the cold-start prediction is the windowed mean gap, which NLMS
+        # then refines — deterministic, no random initialization.
         self._weights = [0.0, 0.0, 1.0, 0.0, 0.0]
-        self._ring = []
+        self._ring: list[float] = []
         self._head = 0
         self._sum = 0.0
         self._ewma = 0.0
         self._jitter = 0.0
         self._count = 0
-        self._features = None
+        self._features: tuple[float, ...] | None = None
+        # w·x for the current features: the next step's ŷ (unused while
+        # count is 0).
+        self._yhat = 0.0
 
 
 class MLFD(TimeoutFailureDetector):

@@ -410,32 +410,32 @@ def ml_prediction_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-index learned gap predictions and jitter scales for a view.
 
-    Runs the *same* sequential NLMS core the streaming
-    :class:`~repro.detectors.ml.MLFD` uses
-    (:class:`~repro.detectors.ml.OnlineArrivalPredictor`) over
-    ``np.diff(arrivals)``, so ``pred[r]``/``jitter[r]`` are bit-identical
-    to the streaming model's state after heartbeat ``r`` by construction
-    — the learned recursion has no closed form to vectorize, exactly as
-    SFD's feedback loop doesn't.  Index 0 is NaN (no gap yet).
+    Runs the streaming :class:`~repro.detectors.ml.MLFD`'s own NLMS loop
+    (:meth:`~repro.detectors.ml.OnlineArrivalPredictor.extend`) over
+    ``np.diff(arrivals)`` in one call, so ``pred[r]``/``jitter[r]`` are
+    bit-identical to the streaming model's state after heartbeat ``r``
+    by construction — the learned recursion has no closed form to
+    vectorize, exactly as SFD's feedback loop doesn't.  Index 0 is NaN
+    (no gap yet).  A non-finite gap is rejected up front with the
+    :class:`ConfigurationError` a streaming update raises for it.
 
     The arrays are margin-independent: they are the family's stage, and
     every grid point of a sweep evaluates one shared pass
     (:func:`ml_evaluate`).
     """
     _require_view(view, 2)
-    arrivals = view.arrivals
-    n = arrivals.size
-    pred = np.full(n, np.nan, dtype=np.float64)
-    jit = np.full(n, np.nan, dtype=np.float64)
+    gaps = np.diff(view.arrivals)
     predictor = OnlineArrivalPredictor(lr=lr, window=window, decay=decay)
-    gaps = np.diff(arrivals)
-    update = predictor.update
-    predict = predictor.predict
-    for j in range(1, n):
-        update(gaps[j - 1])
-        pred[j] = predict()
-        jit[j] = predictor.jitter
-    return pred, jit
+    finite = np.isfinite(gaps)
+    if not finite.all():
+        predictor.update(gaps[finite.argmin()])  # raises for the first bad gap
+    pred = array("d", [math.nan])
+    jit = array("d", [math.nan])
+    predictor.extend(gaps.tolist(), pred, jit)
+    return (
+        np.frombuffer(pred, dtype=np.float64),
+        np.frombuffer(jit, dtype=np.float64),
+    )
 
 
 def ml_freshness(

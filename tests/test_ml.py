@@ -92,6 +92,30 @@ class TestValidation:
         ):
             with pytest.raises(ConfigurationError):
                 OnlineArrivalPredictor.from_dict(corrupt)
+        # States no sequence of gaps can reach, each named by its field.
+        fresh = OnlineArrivalPredictor(window=4).to_dict()
+        filling = OnlineArrivalPredictor(window=4)
+        feed(filling, [0.1, 0.2])
+        filling = filling.to_dict()
+        full = OnlineArrivalPredictor(window=4)
+        feed(full, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+        full = full.to_dict()
+        assert full["head"] == 2
+        for field, corrupt in (
+            ("head", {**full, "head": 7}),            # past the ring
+            ("head", {**full, "head": -1}),
+            ("head", {**filling, "head": 1}),         # ring still filling
+            ("ring", {**full, "ring": full["ring"] + [0.7, 0.8]}),  # > window
+            ("ring", {**filling, "ring": [0.1]}),     # not min(count, window)
+            ("count", {**full, "count": -1}),
+            ("features", {**full, "features": full["features"][:3]}),
+            ("features", {**full, "features": full["features"] + [1.0]}),
+            ("features", {**full, "features": None}),
+            ("features", {**fresh, "features": [1.0, 0.1, 0.1, 0.1, 0.0]}),
+            ("features", {**full, "features": [2.0] + full["features"][1:]}),
+        ):
+            with pytest.raises(ConfigurationError, match=field):
+                OnlineArrivalPredictor.from_dict(corrupt)
 
 
 class TestEstimatorProperties:

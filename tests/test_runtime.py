@@ -1,6 +1,7 @@
 """Live asyncio/UDP runtime: codec, endpoints, monitor, service."""
 
 import asyncio
+import time
 
 import pytest
 
@@ -386,9 +387,19 @@ class TestServiceHardening:
         assert "good" in fired  # and other bindings kept being served
 
     def test_restart_surfaces_in_peer_status(self, run):
+        # The verdict is read at the second incarnation's last arrival,
+        # through the service's clock: read at whatever instant the event
+        # loop reaches the query, φ on a loaded host can pass SLOW's bound.
+        frozen: list[float] = []
+
+        def clock() -> float:
+            return frozen[0] if frozen else time.monotonic()
+
         async def main():
             async with FailureDetectionService(
-                lambda nid: PhiFD(2.0, window_size=8), poll_interval=0.02
+                lambda nid: PhiFD(2.0, window_size=8),
+                poll_interval=0.02,
+                clock=clock,
             ) as svc:
                 s1 = UDPHeartbeatSender("n1", svc.address, interval=0.01)
                 await s1.start()
@@ -397,7 +408,14 @@ class TestServiceHardening:
                 s2 = UDPHeartbeatSender("n1", svc.address, interval=0.01)
                 await s2.start()  # fresh incarnation: sequence resets to 0
                 await asyncio.sleep(0.3)
+                state = svc.monitor.table.node("n1")
+                give_up = time.monotonic() + 10.0
+                while not (state.restarts and state.detector.ready):
+                    assert time.monotonic() < give_up, "no second incarnation"
+                    await asyncio.sleep(0.01)
+                frozen.append(state.detector.last_arrival)
                 status = svc.peer_status("n1")
+                frozen.clear()
                 await s2.stop()
             return status
 
