@@ -117,10 +117,43 @@ def git_sha() -> str:
     return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
+def git_dirty(root: Path | None = None) -> bool | None:
+    """Whether the code under ``src/`` or ``benchmarks/`` differs from the
+    commit :func:`git_sha` names (untracked files included, bench results
+    excepted), or ``None`` outside a checkout.
+
+    Results are written from the working tree, so a bench run before its
+    change is committed measures code that its ``git_sha`` lacks; the flag
+    says so.
+    """
+    root = root if root is not None else Path(__file__).parent.parent
+    try:
+        out = subprocess.run(
+            [
+                "git",
+                "status",
+                "--porcelain",
+                "--",
+                "src",
+                "benchmarks",
+                ":(exclude)benchmarks/results",
+            ],
+            cwd=root,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return bool(out.stdout.strip()) if out.returncode == 0 else None
+
+
 def env_block() -> dict:
-    """Where a number came from: commit, interpreter, numpy, SciPy, cores, scale."""
+    """Where a number came from: commit (and whether the measured tree
+    differed from it), interpreter, numpy, SciPy, cores, scale."""
     return {
         "git_sha": git_sha(),
+        "dirty": git_dirty(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,

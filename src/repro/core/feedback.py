@@ -1,12 +1,13 @@
 """The self-tuning feedback controller (Section IV-A, Fig. 4, Algorithm 1).
 
-The controller closes the loop of Fig. 4: the user's QoS requirement
-``(T̄D, M̄R, Q̄AP)`` enters once; each *time slot* the measured cumulative
-output QoS comes back, is classified (:func:`repro.qos.spec.classify`),
-and the controller emits a signed safety-margin step ``Sat_k·α`` with
-``Sat_k ∈ {+β, 0, −β}`` (Eqs. 12-13).  "In a specific time slot, we adjust
-the parameters of SFD only one time" — the controller is invoked exactly
-once per slot by its host.
+The feedback loop of Fig. 4: the user's QoS requirement ``(T̄D, M̄R,
+Q̄AP)`` enters once; each *time slot* the measured cumulative output QoS
+comes back, is classified by Algorithm 1's table
+(:data:`repro.qos.spec.DECISIONS`), and the loop takes a signed
+safety-margin step ``Sat_k·α`` with ``Sat_k ∈ {+β, 0, −β}`` (Eqs. 12-13).
+"In a specific time slot, we adjust the parameters of SFD only one time" —
+:meth:`FeedbackDriver.close_slots` closes each slot exactly once, for the
+streaming hosts and the replay alike.
 
 When the requirement is infeasible (detection already too slow *and*
 accuracy violated — Algorithm 1's "others" branch) the controller "gives a
@@ -20,11 +21,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, MutableSequence
 
 from repro.errors import ConfigurationError, InfeasibleQoSError
 from repro.qos.metrics import MistakeAccumulator
-from repro.qos.spec import QoSReport, QoSRequirements, Satisfaction, classify
+from repro.qos.spec import DECISIONS, QoSReport, QoSRequirements, Satisfaction
 
 __all__ = [
     "InfeasiblePolicy",
@@ -32,6 +33,7 @@ __all__ = [
     "FeedbackController",
     "SlotConfig",
     "TuningRecord",
+    "LinearSlots",
     "FeedbackDriver",
 ]
 
@@ -62,7 +64,7 @@ class TuningStatus(enum.Enum):
 
 @dataclass
 class FeedbackController:
-    """Emit per-slot safety-margin steps from measured-vs-required QoS.
+    """Algorithm 1's parameters and the loop's life-cycle state.
 
     Parameters
     ----------
@@ -84,6 +86,11 @@ class FeedbackController:
     by design — the paper's scheme converges by repeated constant steps
     ("usually we have to repeatedly adjust the parameters of SFD in
     multiple time slots"), not by proportional control.
+
+    The decision itself is taken by the slot recurrence
+    (:meth:`FeedbackDriver.close_slots`), which reads these parameters and
+    keeps :attr:`status`, :attr:`adjustments` and :attr:`last_decision`
+    current.
     """
 
     requirements: QoSRequirements
@@ -104,51 +111,6 @@ class FeedbackController:
     def step_magnitude(self) -> float:
         """``β·α``: the absolute margin change applied per adjusting slot."""
         return self.beta * self.alpha
-
-    def decide(self, measured: QoSReport) -> float:
-        """One slot of Algorithm 1's Steps 1-3.
-
-        Parameters
-        ----------
-        measured:
-            Cumulative output QoS (Section IV-A: based on *all* former
-            time periods).
-
-        Returns
-        -------
-        float
-            Signed margin delta in seconds (``+β·α``, ``0``, or ``−β·α``).
-
-        Raises
-        ------
-        InfeasibleQoSError
-            If the requirement is infeasible and ``policy`` is ``RAISE``.
-        """
-        if self.status is TuningStatus.INFEASIBLE:
-            return 0.0  # stopped: the response was already given
-        decision = classify(measured, self.requirements)
-        self.last_decision = decision
-        if decision is Satisfaction.INFEASIBLE:
-            if self.policy is InfeasiblePolicy.RAISE:
-                self.status = TuningStatus.INFEASIBLE
-                raise InfeasibleQoSError(
-                    "this SFD can not satisfy the QoS for the application",
-                    measured=measured,
-                    required=self.requirements,
-                )
-            if self.policy is InfeasiblePolicy.STOP:
-                self.status = TuningStatus.INFEASIBLE
-                return 0.0
-            # HOLD: accuracy-first fallback — behave like GROW this slot.
-            self.status = TuningStatus.TUNING
-            self.adjustments += 1
-            return self.step_magnitude
-        if decision is Satisfaction.STABLE:
-            self.status = TuningStatus.STABLE
-            return 0.0
-        self.status = TuningStatus.TUNING
-        self.adjustments += 1
-        return decision.sign * self.step_magnitude
 
     def update_requirements(self, requirements: QoSRequirements) -> None:
         """Swap in a new target QoS at runtime (Fig. 4's input can change).
@@ -239,25 +201,55 @@ class TuningRecord:
 
 
 #: Cumulative-tally checkpoint: (time, mistakes, mistake_time, td_sum,
-#: td_count).  The driver diffs two checkpoints to get a window's QoS.
+#: td_count).  The recurrence diffs two checkpoints to get a window's QoS.
 Checkpoint = tuple[float, int, float, float, int]
 
 
+def _record(row: tuple) -> TuningRecord:
+    """The :class:`TuningRecord` of one closed slot's row (see
+    :meth:`FeedbackDriver.close_slots` for the field order)."""
+    return TuningRecord(
+        row[0], row[1], row[2], row[3], row[4], QoSReport(*row[6:]), row[5]
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class LinearSlots:
+    """Consecutive slots whose tallies the slot recurrence computes itself.
+
+    SFD's replay knows, before any margin is chosen, everything a slot
+    adds to the measured tallies except what the margin contributes.
+    Slot ``k`` adds ``td[k] + SM·heartbeats`` to the detection-time sum
+    and ``heartbeats`` samples.  It holds no late heartbeat when its own
+    margin ``SM`` is at least ``late[k]`` (its body's guards) and the
+    previous slot's margin is at least ``first[k]`` (its first heartbeat
+    is guarded by the previous slot's last freshness point).  ``ends[k]``
+    is the arrival that closes slot ``k``.
+    """
+
+    heartbeats: int
+    td: list[float]
+    late: list[float]
+    first: list[float]
+    ends: list[float]
+
+
 class FeedbackDriver:
-    """Slot bookkeeping shared by the streaming self-tuning monitor (SFD
+    """The slot recurrence shared by the streaming self-tuning monitor (SFD
     included) and the vectorized replay.
 
     The host owns its measured QoS (a
     :class:`~repro.qos.metrics.MistakeAccumulator` fed by
     :func:`~repro.qos.metrics.account_arrival`, or the replay's bulk
     tallies) and the tuned value (the monitor's knob, SFD's margin); this
-    class closes every slot: it counts accounted heartbeats to the slot
-    boundary, picks the evaluation window (cumulative / trailing horizon /
-    since-last-change per :class:`SlotConfig`), waits for enough evidence
-    (``min_slots``), asks the :class:`FeedbackController` for the step,
-    clamps the new value into ``bounds``, and appends the
-    :class:`TuningRecord` to :attr:`trace` and hands it to :attr:`on_slot`.
-    Closing every slot in one place is what makes the two SFD
+    class closes every slot in one loop, :meth:`close_slots`: it picks
+    the evaluation window (cumulative / trailing horizon / since-last-change
+    per :class:`SlotConfig`), waits for enough evidence (``min_slots``),
+    takes the window's QoS, decides per Algorithm 1 and the controller's
+    policy, steps and clamps the value into ``bounds``, and records the
+    slot in :attr:`trace` and hands it to :attr:`on_slot`.  Streaming
+    hosts call it once per slot; the replay calls it over runs of slots at
+    a time.  Closing every slot in one loop is what makes the two SFD
     implementations identical.
     """
 
@@ -273,18 +265,34 @@ class FeedbackDriver:
         self.controller = controller
         self.slot = slot
         self.bounds = (float(lo), float(hi))
-        #: Per-slot feedback decisions, one per non-skipped slot.
-        self.trace: list[TuningRecord] = []
-        #: Optional observer called with each appended :class:`TuningRecord`
+        #: Optional observer called with each new :class:`TuningRecord`
         #: — the hook the observability layer uses to export SM(k)
         #: trajectories and Sat_k decisions without coupling the core to
         #: any metrics machinery.
         self.on_slot: Callable[[TuningRecord], None] | None = None
         self._in_slot = 0
         self._slot_index = 0
+        #: The last ``horizon`` slot ends (kept only under a horizon).
         self._checkpoints: list[Checkpoint] = []
         self._change_base: Checkpoint | None = None
         self._since_change = 0
+        #: Closed slots not built into records yet, as flat rows.
+        self._rows: list[tuple] = []
+        self._records: list[TuningRecord] = []
+
+    @property
+    def trace(self) -> list[TuningRecord]:
+        """Per-slot feedback decisions, one per evaluated slot.
+
+        Closed slots are kept as flat rows and built into records when
+        the trace is read; every read returns the same list, extended by
+        the slots closed since the last one.
+        """
+        rows = self._rows
+        if rows:
+            self._records.extend(map(_record, rows))
+            rows.clear()
+        return self._records
 
     def clamp(self, value: float) -> float:
         """``value`` clamped into :attr:`bounds`."""
@@ -323,89 +331,204 @@ class FeedbackDriver:
     ) -> float:
         """Close one slot on the cumulative tallies since ``t_begin``.
 
-        Returns the new tuned value.  A skipped slot (see :meth:`end_slot`)
-        still advances the slot index but leaves ``value`` and the trace
-        alone.
+        Returns the new tuned value.  A skipped slot (too little evidence
+        or a degenerate window) still advances the slot index but leaves
+        ``value`` and the trace alone.
         """
-        delta, snapshot = self.end_slot(
-            t_begin, now, mistakes, mistake_time, td_sum, td_count
-        )
-        self._slot_index += 1
-        if snapshot is None:
-            return value
-        after = self.clamp(value + delta)
-        # Positional: keywords cost a measurable share of a slot close.
-        record = TuningRecord(
-            self._slot_index,
-            now,
-            value,
-            after,
-            self.controller.last_decision or Satisfaction.STABLE,
-            snapshot,
-            self.controller.status,
-        )
-        self.trace.append(record)
-        if self.on_slot is not None:
-            self.on_slot(record)
-        return after
+        tally = [mistakes, mistake_time, td_sum, td_count]
+        return self.close_slots(value, t_begin, tally, now)[0]
 
-    @staticmethod
-    def _diff(base: Checkpoint, cur: Checkpoint) -> QoSReport | None:
-        t0, m0, mt0, ts0, tc0 = base
-        now, mistakes, mistake_time, td_sum, td_count = cur
-        total = now - t0
-        if total <= 0:
-            return None
-        mt = min(max(mistake_time - mt0, 0.0), total)
-        tc = td_count - tc0
-        td = (td_sum - ts0) / tc if tc else float("nan")
-        m = mistakes - m0
-        # Field order: detection_time, mistake_rate, query_accuracy,
-        # mistakes, mistake_time, accounted_time, samples.
-        return QoSReport(td, m / total, 1.0 - mt / total, m, mt, total, tc)
-
-    def end_slot(
+    def close_slots(
         self,
+        value: float,
         t_begin: float,
-        now: float,
-        mistakes: int,
-        mistake_time: float,
-        td_sum: float,
-        td_count: int,
-    ) -> tuple[float, QoSReport | None]:
-        """Process one slot boundary.
+        tally: list,
+        now: float | None = None,
+        slots: LinearSlots | None = None,
+        margins: MutableSequence[float] | None = None,
+    ) -> tuple[float, int | None]:
+        """The slot recurrence: close slots in order, state in locals.
 
-        Parameters are the *cumulative* tallies since accounting began at
-        ``t_begin``.  Returns ``(margin_delta, evaluated_snapshot)``;
-        the snapshot is ``None`` when the slot was skipped (insufficient
-        evidence or degenerate window), in which case the delta is 0.
+        ``tally`` is ``[mistakes, mistake_time, td_sum, td_count]``,
+        cumulative since accounting began at ``t_begin``; it is updated in
+        place.  With ``now``, the slot that ends at ``now`` is closed
+        first, on ``tally`` as given: that is a streaming host's call.
+        With ``slots``, the recurrence then tallies slot ``k =
+        len(margins)`` and those after it itself, appending each slot's
+        value to ``margins``, and closes each one that holds no late
+        heartbeat.  It stops after tallying the first slot that may hold
+        one and returns that slot's index: the caller adds the slot's
+        mistakes to ``tally`` and calls again with ``now`` set to the
+        slot's end.  Returns ``(value, pending)``; ``pending`` is ``None``
+        once every slot is closed.
+
+        A slot close diffs the cumulative tallies against the base of the
+        evaluation window, classifies the window's QoS with Algorithm 1's
+        table (:data:`repro.qos.spec.DECISIONS`), applies the controller's
+        policy, steps and clamps the value, and keeps the slot as a row
+        ``(slot, time, sm_before, sm_after, decision, status, TD, MR, QAP,
+        mistakes, mistake_time, accounted_time, samples)`` that
+        :attr:`trace` builds into a :class:`TuningRecord` when read.
+        :attr:`on_slot` gets the records of the slots this call closed.
         """
-        cur: Checkpoint = (now, mistakes, mistake_time, td_sum, td_count)
-        base: Checkpoint = (t_begin, 0, 0.0, 0.0, 0)
-        k = self.slot.horizon
-        if k is not None and len(self._checkpoints) >= k:
-            base = self._checkpoints[-k]
-        if (
-            self.slot.reset_on_adjust
-            and self._change_base is not None
-            and self._change_base[0] > base[0]
-        ):
-            base = self._change_base
-        self._checkpoints.append(cur)
-        keep = max(self.slot.horizon or 1, 1)
-        if len(self._checkpoints) > keep + 1:
-            del self._checkpoints[: -(keep + 1)]
-        self._since_change += 1
-        if self._since_change < self.slot.min_slots:
-            return 0.0, None
-        snapshot = self._diff(base, cur)
-        if snapshot is None:
-            return 0.0, None
-        delta = self.controller.decide(snapshot)
-        if delta != 0.0:
-            self._change_base = cur
-            self._since_change = 0
-        return delta, snapshot
+        ctl = self.controller
+        req = ctl.requirements
+        td_max = req.max_detection_time
+        mr_max = req.max_mistake_rate
+        qap_min = req.min_query_accuracy
+        step = ctl.step_magnitude
+        policy = ctl.policy
+        status = ctl.status
+        adjustments = ctl.adjustments
+        decision = ctl.last_decision
+        slow, fast = DECISIONS
+        hold = InfeasiblePolicy.HOLD
+        stable = Satisfaction.STABLE
+        infeasible = Satisfaction.INFEASIBLE
+        tuning = TuningStatus.TUNING
+        settled = TuningStatus.STABLE
+        stopped = TuningStatus.INFEASIBLE
+        lo, hi = self.bounds
+        horizon = self.slot.horizon
+        reset_on_adjust = self.slot.reset_on_adjust
+        min_slots = self.slot.min_slots
+        checkpoints = self._checkpoints
+        change_base = self._change_base
+        since = self._since_change
+        index = self._slot_index
+        keep = self._rows.append
+        closed = 0
+        origin: Checkpoint = (t_begin, 0, 0.0, 0.0, 0)
+        mistakes, mistake_time, td_sum, td_count = tally
+        if slots is None:
+            k = stop = 0
+        else:
+            h = slots.heartbeats
+            td, late, first, ends = slots.td, slots.late, slots.first, slots.ends
+            k, stop = len(margins), len(ends)
+            put = margins.append
+        pending = None
+        try:
+            while True:
+                prev = value
+                if now is not None:
+                    base = origin
+                    if horizon is not None:
+                        if len(checkpoints) == horizon:
+                            base = checkpoints.pop(0)
+                        checkpoints.append(
+                            (now, mistakes, mistake_time, td_sum, td_count)
+                        )
+                    if (
+                        reset_on_adjust
+                        and change_base is not None
+                        and change_base[0] > base[0]
+                    ):
+                        base = change_base
+                    since += 1
+                    t0, m0, mt0, ts0, tc0 = base
+                    total = now - t0
+                    if since < min_slots or total <= 0:
+                        index += 1  # skipped: no record, value unchanged
+                    else:
+                        # The window's QoS, clamping the mistake time.
+                        mt = mistake_time - mt0
+                        mt = 0.0 if 0.0 > mt else mt
+                        mt = total if total < mt else mt
+                        tc = td_count - tc0
+                        td_mean = (td_sum - ts0) / tc if tc else math.nan
+                        m = mistakes - m0
+                        mr = m / total
+                        qap = 1.0 - mt / total
+                        if mr < 0.0 or not (0.0 <= qap <= 1.0 + 1e-12):
+                            # Out of QoSReport's domain: let it raise.
+                            QoSReport(td_mean, mr, qap, m, mt, total, tc)
+                        if status is stopped:
+                            delta = 0.0  # stopped: the response was given
+                        else:
+                            # QoSRequirements.detection_ok, then accuracy_ok.
+                            row = fast if td_mean <= td_max else slow
+                            decision = (
+                                row[1] if mr <= mr_max and qap >= qap_min else row[0]
+                            )
+                            if decision is stable:
+                                status = settled
+                                delta = 0.0
+                            elif decision is not infeasible:
+                                status = tuning
+                                adjustments += 1
+                                delta = decision.value * step
+                            elif policy is hold:
+                                # Accuracy first: grow, as GROW would.
+                                status = tuning
+                                adjustments += 1
+                                delta = step
+                            else:
+                                status = stopped
+                                delta = 0.0
+                                if policy is InfeasiblePolicy.RAISE:
+                                    raise InfeasibleQoSError(
+                                        "this SFD can not satisfy the QoS "
+                                        "for the application",
+                                        measured=QoSReport(
+                                            td_mean, mr, qap, m, mt, total, tc
+                                        ),
+                                        required=req,
+                                    )
+                        if delta != 0.0:
+                            change_base = (
+                                now, mistakes, mistake_time, td_sum, td_count
+                            )
+                            since = 0
+                        index += 1
+                        after = value + delta
+                        after = lo if lo > after else after
+                        after = hi if hi < after else after
+                        keep(
+                            (
+                                index,
+                                now,
+                                value,
+                                after,
+                                stable if decision is None else decision,
+                                status,
+                                td_mean,
+                                mr,
+                                qap,
+                                m,
+                                mt,
+                                total,
+                                tc,
+                            )
+                        )
+                        closed += 1
+                        value = after
+                if k == stop:
+                    break
+                # Slot k: tally what the margin adds; close it if no
+                # heartbeat of it can be late.
+                put(value)
+                td_sum += td[k] + value * h
+                td_count += h
+                now = ends[k]
+                if not (value >= late[k] and prev >= first[k]):
+                    pending = k
+                    break
+                k += 1
+        finally:
+            ctl.status = status
+            ctl.adjustments = adjustments
+            ctl.last_decision = decision
+            self._change_base = change_base
+            self._since_change = since
+            self._slot_index = index
+            tally[:] = (mistakes, mistake_time, td_sum, td_count)
+            hook = self.on_slot
+            if closed and hook is not None:
+                records = self.trace
+                for record in records[len(records) - closed :]:
+                    hook(record)
+        return value, pending
 
     @property
     def status(self) -> TuningStatus:
@@ -414,7 +537,8 @@ class FeedbackDriver:
     def reset(self) -> None:
         """Forget every slot (the ``on_slot`` hook stays attached)."""
         self.controller.reset()
-        self.trace.clear()
+        self._rows.clear()
+        self._records.clear()
         self._in_slot = 0
         self._slot_index = 0
         self._checkpoints.clear()

@@ -208,7 +208,8 @@ class SelfTuningMonitor(FailureDetector):
 
     @property
     def tuning_trace(self) -> list[TuningRecord]:
-        """Per-slot feedback decisions (copy-free; treat as read-only)."""
+        """Per-slot feedback decisions, built into records when read
+        (copy-free, the same list every read; treat as read-only)."""
         return self._driver.trace
 
     def qos_snapshot(self, now: float) -> QoSReport:

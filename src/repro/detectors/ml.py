@@ -46,6 +46,7 @@ accounting.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Any, Iterable, Mapping, MutableSequence
 
 from repro.errors import ConfigurationError, NotWarmedUpError
@@ -156,12 +157,22 @@ class OnlineArrivalPredictor:
         whole trace in one call, so both planes run the same float64
         operations in the same order.  The state is read into locals
         once and written back once, and ``w·x`` is computed once per gap
-        and kept as the next step's ``ŷ``.  The gaps are not checked
+        and kept as the next step's ``ŷ``.  A window sum past
+        ``float_info.max / window``, or one that has overflowed, is added
+        up from the ring again at every gap, so huge gaps stop poisoning
+        the mean once they leave the window.  The gaps are not checked
         here; both callers reject a non-finite gap first.
         """
         # ``-inf < v < inf`` is ``math.isfinite(v)`` without a call per gap.
         inf = math.inf
         lr, window, decay = self.lr, self.window, self.decay
+        # The window's running sum is exact enough below ``limit``, under
+        # which ``window`` gaps cannot overflow.  A sum past it (inf
+        # included) holds a gap that swallows the others, and subtracting
+        # that gap when it leaves would take their share along; so such a
+        # sum is added up from the ring after every gap, which restores
+        # the window's sum once the huge gaps have left.
+        limit = sys.float_info.max / window
         w0, w1, w2, w3, w4 = self._weights
         ring, head, total = self._ring, self._head, self._sum
         ewma, jit, count, yhat = self._ewma, self._jitter, self._count, self._yhat
@@ -193,7 +204,9 @@ class OnlineArrivalPredictor:
             else:
                 ewma = gap
                 jit = 0.0
-            # Lag window: a ring buffer with a running sum.
+            # Lag window: a ring buffer with a running sum, added up from
+            # the ring instead while it is past ``limit``.
+            resum = not (-limit < total < limit)
             if filled == window:
                 total -= ring[head]
                 ring[head] = gap
@@ -204,6 +217,10 @@ class OnlineArrivalPredictor:
                 ring.append(gap)
                 filled += 1
             total += gap
+            if resum:
+                total = 0.0
+                for kept in ring:
+                    total += kept
             count += 1
             x1, x2, x3, x4 = gap, total / filled, ewma, jit
             yhat = w0 + w1 * x1 + w2 * x2 + w3 * x3 + w4 * x4

@@ -90,6 +90,7 @@ from repro.replay.vectorized import (
     quantile_evaluate,
     quantile_stage,
     sfd_evaluate,
+    sfd_stage,
 )
 from repro.traces.trace import MonitorView
 
@@ -290,17 +291,12 @@ class DetectorFamily:
 # --------------------------------------------------------------------- #
 
 
-def _chen_stage(view: MonitorView, spec) -> Callable[[tuple], np.ndarray]:
-    # Shared by chen and sfd: both add a margin to Chen's EA at `window`.
-    return lambda specs: chen_expected_arrivals(
-        view, spec.window, spec.nominal_interval
-    )
-
-
 def _chen_kernel(
     view: MonitorView, spec: ChenSpec, prepared: PreparedStage
 ) -> KernelRun:
-    ea = prepared.stage(_chen_stage(view, spec))
+    ea = prepared.stage(
+        lambda specs: chen_expected_arrivals(view, spec.window, spec.nominal_interval)
+    )
     return KernelRun(chen_evaluate(ea, spec.alpha))
 
 
@@ -357,14 +353,21 @@ def _ml_kernel(
 def _sfd_kernel(
     view: MonitorView, spec: SFDSpec, prepared: PreparedStage
 ) -> KernelRun:
+    stage = prepared.stage(
+        lambda specs: sfd_stage(
+            view,
+            chen_expected_arrivals(view, spec.window, spec.nominal_interval),
+            window=spec.window,
+            heartbeats=spec.slot.heartbeats,
+        )
+    )
     return sfd_evaluate(
         view,
-        prepared.stage(_chen_stage(view, spec)),
+        stage,
         spec.requirements,
         sm1=spec.sm1,
         alpha=spec.alpha,
         beta=spec.beta,
-        window=spec.window,
         slot=spec.slot,
         policy=spec.policy,
         sm_bounds=spec.sm_bounds,

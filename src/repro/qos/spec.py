@@ -213,6 +213,18 @@ class Satisfaction(enum.Enum):
         return int(self.value)
 
 
+#: Algorithm 1's decision table, ``DECISIONS[detection_ok][accuracy_ok]``.
+#: It is written here once: :func:`classify` and the feedback loop's slot
+#: recurrence (:meth:`repro.core.feedback.FeedbackDriver.close_slots`) both
+#: index it.
+DECISIONS = (
+    # Detection too slow: no margin fixes inaccuracy too; else shrink.
+    (Satisfaction.INFEASIBLE, Satisfaction.SHRINK),
+    # Detection fast enough: grow on inaccuracy; else hold.
+    (Satisfaction.GROW, Satisfaction.STABLE),
+)
+
+
 def classify(measured: QoSReport, required: QoSRequirements) -> Satisfaction:
     """Algorithm 1's Step 2: map (measured, required) to a feedback action.
 
@@ -231,12 +243,5 @@ def classify(measured: QoSReport, required: QoSRequirements) -> Satisfaction:
         Eq. (12); :attr:`Satisfaction.INFEASIBLE` corresponds to the
         "give a response" branch.
     """
-    speed_ok = required.detection_ok(measured)
-    accuracy_ok = required.accuracy_ok(measured)
-    if speed_ok and accuracy_ok:
-        return Satisfaction.STABLE
-    if speed_ok and not accuracy_ok:
-        return Satisfaction.GROW
-    if not speed_ok and accuracy_ok:
-        return Satisfaction.SHRINK
-    return Satisfaction.INFEASIBLE
+    speed_ok = bool(required.detection_ok(measured))
+    return DECISIONS[speed_ok][bool(required.accuracy_ok(measured))]

@@ -28,7 +28,7 @@ from typing import Any, Mapping, Union
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.core.feedback import InfeasiblePolicy, TuningStatus
+from repro.core.feedback import FeedbackDriver, InfeasiblePolicy, TuningStatus
 from repro.core.sfd import SlotConfig, TuningRecord
 from repro.qos.metrics import qos_from_freshness
 from repro.qos.spec import QoSReport, QoSRequirements
@@ -279,19 +279,25 @@ class ReplayResult:
         accounted (index 0 is NaN: one sample predicts nothing).
     warmup_index:
         First accounted received index ``r0``.
-    tuning:
-        SFD only: per-slot feedback records.
     final_margin, status:
         SFD only: tuned margin and feedback state at the end.
+    feedback:
+        SFD only: the feedback loop that ran; :attr:`tuning` reads its
+        per-slot records.
     """
 
     spec: Spec
     qos: QoSReport
     freshness: np.ndarray
     warmup_index: int
-    tuning: list[TuningRecord] = field(default_factory=list)
     final_margin: float | None = None
     status: TuningStatus | None = None
+    feedback: FeedbackDriver | None = field(default=None, repr=False)
+
+    @property
+    def tuning(self) -> list[TuningRecord]:
+        """SFD only: per-slot feedback records, built when first read."""
+        return [] if self.feedback is None else self.feedback.trace
 
     @property
     def detector(self) -> str:
@@ -380,7 +386,7 @@ def replay(
         qos=qos,
         freshness=run.freshness,
         warmup_index=r0,
-        tuning=run.tuning,
         final_margin=run.final_margin,
         status=run.status,
+        feedback=run.feedback,
     )

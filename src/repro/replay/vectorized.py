@@ -24,21 +24,22 @@ Key identities used (derivations in the docstrings):
   selected in C by :func:`scipy.ndimage.rank_filter`; numpy's
   interpolation between them then runs as ufuncs, so the result stays
   bitwise equal to the streaming sorted window.
-* SFD's margin changes only at slot boundaries, so its replay is a loop
-  over ~(heartbeats/slot) slots.  What does not depend on the margin is
-  computed once per call: each slot's detection-time sum and a *late
-  bound*, a margin at or above which none of the slot's arrivals is late.
-  A slot runs array code only when its first arrival is late or its
-  margin is below its bound; rounded addition is monotone, so skipping
-  the others is exact.
+* SFD's margin changes only at slot boundaries, so its replay is the
+  feedback loop's slot recurrence over ~(heartbeats/slot) slots.  What
+  does not depend on the margin is its stage: each slot's detection-time
+  sum and *late bounds*, margins at or above which none of the slot's
+  arrivals is late.  A slot runs array code only when a margin is below
+  its bound; rounded addition is monotone, so skipping the others is
+  exact.
 
 Families whose sweep parameter enters late are split in two: a *stage*
 function computes the arrays that do not depend on the swept parameter
 (``chen_expected_arrivals``, ``phi_stage``, ``quantile_stage``,
-``ml_prediction_arrays``), and an ``*_evaluate`` function turns a stage
-into one grid point's freshness points.  The public ``*_freshness``
-functions are exactly that composition; the registry's kernels compose
-the same two steps through a stage shared by a whole sweep group.
+``ml_prediction_arrays``, ``sfd_stage``), and an ``*_evaluate`` function
+turns a stage into one grid point's freshness points.  The public
+``*_freshness`` functions are exactly that composition; the registry's
+kernels compose the same two steps through a stage shared by a whole
+sweep group.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from repro.core.feedback import (
     FeedbackController,
     FeedbackDriver,
     InfeasiblePolicy,
+    LinearSlots,
     SlotConfig,
     TuningRecord,
     TuningStatus,
@@ -82,8 +84,10 @@ __all__ = [
     "ml_prediction_arrays",
     "ml_evaluate",
     "ml_freshness",
+    "sfd_stage",
     "sfd_evaluate",
     "sfd_freshness",
+    "SFDStage",
     "KernelRun",
 ]
 
@@ -94,16 +98,22 @@ class KernelRun:
 
     The freshness-point array (``FP[r]`` aligned with the view, NaN before
     warm-up) plus the self-tuning artifacts only feedback-driven families
-    (SFD) produce: the per-slot :class:`~repro.core.feedback.TuningRecord`
-    history, the tuned margin after the last slot and the feedback state
-    at the end of the run.  Every registry kernel returns one, which is
-    what lets :func:`repro.replay.engine.replay` stay family-agnostic.
+    (SFD) produce: the tuned margin after the last slot, the feedback
+    state at the end of the run, and the feedback loop that ran, whose
+    per-slot :class:`~repro.core.feedback.TuningRecord` history is
+    :attr:`tuning`.  Every registry kernel returns one, which is what lets
+    :func:`repro.replay.engine.replay` stay family-agnostic.
     """
 
     freshness: np.ndarray
-    tuning: list[TuningRecord] = field(default_factory=list)
     final_margin: float | None = None
     status: TuningStatus | None = None
+    feedback: FeedbackDriver | None = field(default=None, repr=False)
+
+    @property
+    def tuning(self) -> list[TuningRecord]:
+        """Per-slot feedback decisions (SFD only), built when first read."""
+        return [] if self.feedback is None else self.feedback.trace
 
 
 def _require_view(view: MonitorView, minimum: int) -> None:
@@ -487,61 +497,110 @@ def sfd_freshness(
     *cumulative* measured QoS; detection-time samples use the sender
     timestamps carried by the trace.
     """
-    return sfd_evaluate(
+    slot = slot if slot is not None else SlotConfig()
+    stage = sfd_stage(
         view,
         chen_expected_arrivals(view, window, nominal_interval),
+        window=window,
+        heartbeats=slot.heartbeats,
+    )
+    return sfd_evaluate(
+        view,
+        stage,
         requirements,
         sm1=sm1,
         alpha=alpha,
         beta=beta,
-        window=window,
         slot=slot,
         policy=policy,
         sm_bounds=sm_bounds,
     )
 
 
+@dataclass(frozen=True, eq=False)
+class SFDStage:
+    """The margin-independent part of SFD's replay (one per sweep group).
+
+    ``ea`` is :func:`chen_expected_arrivals` at ``window``, and ``slots``
+    holds what every full slot contributes whatever the margin (see
+    :class:`~repro.core.feedback.LinearSlots`).  Slot ``k`` covers
+    received indices ``[r0 + k·h, r0 + (k+1)·h)`` for ``r0 = window − 1``
+    and ``h = slots.heartbeats``.
+    """
+
+    ea: np.ndarray
+    window: int
+    slots: LinearSlots
+
+
+def sfd_stage(
+    view: MonitorView, ea: np.ndarray, *, window: int, heartbeats: int
+) -> SFDStage:
+    """SFD's stage on a prepared Chen ``EA`` array: per full slot, its
+    ``Σ(EA − σ)`` (one row-wise reduce, equal to ``np.sum`` of the slot's
+    slice), its late bounds (:func:`_late_bounds`, :func:`_first_bounds`)
+    and the arrival that closes it."""
+    _require_view(view, window + 1)
+    arrivals = view.arrivals
+    r0 = window - 1  # first index with a full window (streaming `ready`)
+    count = (arrivals.size - r0) // heartbeats
+    end = r0 + count * heartbeats  # [end, n) is the trailing partial slot
+    a_rows = arrivals[r0:end].reshape(count, heartbeats)
+    ea_rows = ea[r0:end].reshape(count, heartbeats)
+    # TD[r] = FP[r] − σ_r = (EA[r] − σ_r) + SM, so a slot adds
+    # Σ(EA − σ) + SM·h to the detection-time tally.
+    td = np.add.reduce(
+        (ea[r0:end] - view.send_times[r0:end]).reshape(count, heartbeats), axis=1
+    )
+    return SFDStage(
+        ea,
+        window,
+        LinearSlots(
+            heartbeats,
+            td.tolist(),
+            _late_bounds(a_rows, ea_rows).tolist(),
+            _first_bounds(a_rows, ea_rows).tolist(),
+            a_rows[:, -1].tolist(),
+        ),
+    )
+
+
 def sfd_evaluate(
     view: MonitorView,
-    ea: np.ndarray,
+    stage: SFDStage,
     requirements: QoSRequirements,
     *,
     sm1: float | None = None,
     alpha: float = 0.1,
     beta: float = 0.5,
-    window: int = 1000,
     slot: SlotConfig | None = None,
     policy: InfeasiblePolicy = InfeasiblePolicy.STOP,
     sm_bounds: tuple[float, float] = (0.0, math.inf),
 ) -> KernelRun:
-    """SFD's per-slot feedback loop on a prepared Chen ``EA`` array.
+    """SFD's per-slot feedback loop on a prepared :func:`sfd_stage`.
 
-    ``ea`` is :func:`chen_expected_arrivals` at ``window`` — the part of
-    the replay that no margin decision feeds back into.
+    Accounting starts at index ``r0 = window − 1``.  Mistakes are
+    attributed to the *revealing* arrival, as streaming discovers a late
+    heartbeat when it arrives, so the snapshot that closes a slot at its
+    last arrival has seen exactly the reveals up to it.  A slot's first
+    reveal is guarded by the previous slot's margin and its body reveals
+    by its own margin ``SM``.
 
-    Accounting starts at index ``r0 = window − 1`` and slot ``k`` covers
-    ``[r0 + k·h, r0 + (k+1)·h)`` for ``h = slot.heartbeats``.  Everything
-    that does not depend on the margin is computed once per call: each
-    full slot's ``Σ(EA − σ)`` (one row-wise reduce, equal to ``np.sum``
-    of the slot's slice), its late bound (:func:`_late_bounds`), and the
-    slot-edge scalars.  Mistakes are attributed to the *revealing*
-    arrival, as streaming discovers a late heartbeat when it arrives, so
-    the snapshot that closes a slot at its last arrival has seen exactly
-    the reveals up to it.  A slot's first reveal is guarded by the
-    previous slot's margin and is checked as a scalar; its body reveals
-    are guarded by its own margin ``SM``.  When the first reveal is on
-    time and ``SM`` is at least the slot's bound, no reveal of the slot
-    is late, and the slot is not scanned; otherwise its reveals are
-    scanned as arrays.
+    The feedback loop's slot recurrence
+    (:meth:`~repro.core.feedback.FeedbackDriver.close_slots`) tallies and
+    closes every slot whose margins are at least its bounds: none of its
+    reveals is late, so it adds no mistake.  It hands back each slot that
+    may hold a late heartbeat, whose reveals are then scanned as arrays
+    (:func:`_late_reveals`) before the recurrence closes it and goes on.
 
     The skip is exact, not approximate.  Rounded float64 addition is
     monotone, so ``SM ≥ T`` gives ``fl(EA + SM) ≥ fl(EA + T) ≥ A`` for
-    every body reveal, where the second inequality is the exact check
-    the bound passed.  A skipped slot therefore adds 0 mistakes and 0.0
-    mistake time, which is what scanning it would add.  Freshness points
-    are written once at the end, with the last margin on the trailing
-    partial slot; that slot never closes, so its tallies are not
-    computed.
+    every reveal a bound ``T`` covers, where the second inequality is the
+    exact check the bound passed.  A skipped slot therefore adds 0
+    mistakes and 0.0 mistake time, which is what scanning it would add.
+    Freshness points are written once at the end, with the last margin on
+    the trailing partial slot; that slot never closes, so its tallies are
+    not computed.
     """
     slot = slot if slot is not None else SlotConfig()
     if sm1 is None:
@@ -550,74 +609,78 @@ def sfd_evaluate(
         raise ConfigurationError(f"SM1 must be >= 0, got {sm1!r}")
     if not (0.0 <= sm_bounds[0]):
         raise ConfigurationError(f"invalid sm_bounds {sm_bounds!r}")
-    _require_view(view, window + 1)
-    arrivals = view.arrivals
-    n = arrivals.size
+    slots = stage.slots
     h = slot.heartbeats
-    r0 = window - 1  # first index with a full window (streaming `ready`)
-    slots = (n - r0) // h
-    end = r0 + slots * h  # [end, n) is the trailing partial slot
+    if slots.heartbeats != h:
+        raise ConfigurationError(
+            f"stage has {slots.heartbeats}-heartbeat slots, slot asks for {h}"
+        )
+    arrivals = view.arrivals
+    ea = stage.ea
+    n = arrivals.size
+    r0 = stage.window - 1
+    count = len(slots.ends)
+    end = r0 + count * h
     driver = FeedbackDriver(
         FeedbackController(requirements, alpha=alpha, beta=beta, policy=policy),
         slot,
         sm_bounds,
     )
-    sm = driver.clamp(float(sm1))
-    # Margin-independent, once per call; one row per full slot.
-    a_rows = arrivals[r0:end].reshape(slots, h)
-    ea_rows = ea[r0:end].reshape(slots, h)
-    # TD[r] = FP[r] − σ_r = (EA[r] − σ_r) + SM, so a slot adds
-    # Σ(EA − σ) + SM·h to the detection-time tally.
-    td_rows = np.add.reduce(
-        (ea[r0:end] - view.send_times[r0:end]).reshape(slots, h), axis=1
-    )
-    per_slot = zip(
-        td_rows.tolist(),
-        _late_bounds(a_rows, ea_rows).tolist(),
-        a_rows[:, 0].tolist(),
-        a_rows[:, -1].tolist(),
-        ea_rows[:, -1].tolist(),
-    )
-    margins = np.empty(slots, dtype=np.float64)
-    # Cumulative accounting scalars (mirror MistakeAccumulator).
-    td_sum = 0.0
-    td_count = 0
-    mistakes = 0
-    mistake_time = 0.0
+    close_slots = driver.close_slots
     t_begin = float(arrivals[r0])
-    close_slot = driver.close_slot
-    # A and FP of the heartbeat before the slot: its first heartbeat is
-    # late iff it arrives after both.  Slot 0's first heartbeat is index
-    # r0, which reveals nothing, so it always passes.
-    prev_a = prev_fp = math.inf
-    for k, (td_k, bound, a_first, a_last, ea_last) in enumerate(per_slot):
-        td_sum += td_k + sm * h
-        td_count += h
-        if not ((a_first <= prev_a or a_first <= prev_fp) and sm >= bound):
-            start = r0 + k * h
-            lo = start + 1 if k == 0 else start
-            stop = start + h
-            guard = ea[lo - 1 : stop - 1] + sm
-            if k:
-                guard[0] = prev_fp  # written with the previous slot's margin
-            gap = arrivals[lo:stop] - np.maximum(guard, arrivals[lo - 1 : stop - 1])
-            pos = gap > 0.0
-            mistakes += int(np.count_nonzero(pos))
-            mistake_time += float(np.sum(gap[pos]))
-        margins[k] = sm
-        prev_a = a_last
-        prev_fp = ea_last + sm
+    # Cumulative [mistakes, mistake_time, td_sum, td_count], as
+    # MistakeAccumulator keeps them, and each slot's margin.
+    tally = [0, 0.0, 0.0, 0]
+    margins = array("d")
+    sm, pending = close_slots(
+        driver.clamp(float(sm1)), t_begin, tally, None, slots, margins
+    )
+    while pending is not None:
+        late, late_time = _late_reveals(arrivals, ea, r0, h, pending, margins)
+        tally[0] += late
+        tally[1] += late_time
         # Streaming closes the slot at the arrival of its last heartbeat.
-        sm = close_slot(
-            a_last, sm, t_begin, mistakes, mistake_time, td_sum, td_count
+        sm, pending = close_slots(
+            sm, t_begin, tally, slots.ends[pending], slots, margins
         )
     fp = np.empty(n, dtype=np.float64)
     fp[:r0] = np.nan
-    np.add(ea_rows, margins[:, None], out=fp[r0:end].reshape(slots, h))
+    np.add(
+        ea[r0:end].reshape(count, h),
+        np.frombuffer(margins, dtype=np.float64)[:, None],
+        out=fp[r0:end].reshape(count, h),
+    )
     fp[end:] = ea[end:] + sm
     return KernelRun(
-        freshness=fp, tuning=driver.trace, final_margin=sm, status=driver.status
+        freshness=fp, final_margin=sm, status=driver.status, feedback=driver
     )
+
+
+def _late_reveals(
+    arrivals: np.ndarray,
+    ea: np.ndarray,
+    r0: int,
+    h: int,
+    k: int,
+    margins: array,
+) -> tuple[int, float]:
+    """The late reveals of slot ``k``: their count and summed lateness.
+
+    Arrival ``j`` reveals the gap after ``j − 1``, guarded by
+    ``FP[j − 1] = EA[j − 1] + SM``: the slot's first arrival by the
+    previous slot's last point (margin ``margins[k − 1]``), the others by
+    the slot's own (``margins[k]``).  Slot 0's first arrival, index
+    ``r0``, reveals nothing.
+    """
+    start = r0 + k * h
+    lo = start + 1 if k == 0 else start
+    stop = start + h
+    guard = ea[lo - 1 : stop - 1] + margins[k]
+    if k:
+        guard[0] = ea[start - 1] + margins[k - 1]
+    gap = arrivals[lo:stop] - np.maximum(guard, arrivals[lo - 1 : stop - 1])
+    late = gap > 0.0
+    return int(np.count_nonzero(late)), float(np.sum(gap[late]))
 
 
 def _late_bounds(a_rows: np.ndarray, ea_rows: np.ndarray) -> np.ndarray:
@@ -643,4 +706,26 @@ def _late_bounds(a_rows: np.ndarray, ea_rows: np.ndarray) -> np.ndarray:
     covered = need >= body
     covered |= idle
     bound[~covered.all(axis=1)] = np.inf
+    return bound
+
+
+def _first_bounds(a_rows: np.ndarray, ea_rows: np.ndarray) -> np.ndarray:
+    """Per slot, a previous-slot margin at or above which the slot's first
+    reveal is not late.
+
+    Slot ``k``'s first arrival ``A`` is late under the previous slot's
+    margin ``SM`` iff ``A > max(fl(EA_p + SM), A_p)``, where ``A_p`` and
+    ``EA_p`` end the previous row.  The bound is ``−inf`` when ``A ≤ A_p``
+    and for slot 0, whose first arrival reveals nothing.  Otherwise it is
+    ``fl(A − EA_p)`` if ``fl(EA_p + fl(A − EA_p)) ≥ A`` holds exactly, as
+    in :func:`_late_bounds`, and ``+inf`` if it does not (NaN included).
+    """
+    bound = np.full(a_rows.shape[0], -np.inf)
+    first = a_rows[1:, 0]
+    ea_prev = ea_rows[:-1, -1]
+    idle = ~(first > a_rows[:-1, -1])
+    need = first - ea_prev
+    need[idle] = -np.inf
+    need[~((ea_prev + need >= first) | idle)] = np.inf
+    bound[1:] = need
     return bound

@@ -73,7 +73,7 @@ class TestDriverMemoryBound:
             FeedbackController(req), SlotConfig(10, horizon=5)
         )
         for k in range(10_000):
-            d.end_slot(0.0, float(k + 1), 0, 0.0, 0.5 * (k + 1), k + 1)
+            d.close_slot(float(k + 1), 1.0, 0.0, 0, 0.0, 0.5 * (k + 1), k + 1)
         # Horizon 5 needs at most horizon+1 retained checkpoints.
         assert len(d._checkpoints) <= 6
 
@@ -81,7 +81,7 @@ class TestDriverMemoryBound:
         req = QoSRequirements(max_detection_time=1.0)
         d = FeedbackDriver(FeedbackController(req), SlotConfig(10))
         for k in range(5_000):
-            d.end_slot(0.0, float(k + 1), 0, 0.0, 0.5 * (k + 1), k + 1)
+            d.close_slot(float(k + 1), 1.0, 0.0, 0, 0.0, 0.5 * (k + 1), k + 1)
         assert len(d._checkpoints) <= 2
 
 

@@ -11,8 +11,11 @@ one call.
 
 The reference below is the per-gap recursion that loop replaced — one
 ``update`` and one ``predict`` call per gap, with ``w·x`` computed twice —
-kept only as the oracle.  Predictions and jitters (as int64 views) and the
-final checkpoint (every float as its bits) must agree with ``==``: on
+kept only as the oracle, with the same repair of a window sum that has
+grown past ``float_info.max / window`` or overflowed (it is added up from
+the ring again at the next gap).
+Predictions and jitters (as int64 views) and the final checkpoint (every
+float as its bits) must agree with ``==``: on
 synthetic WAN traces, on a seeded corpus that reaches every branch of the
 recursion (the reference counts its branch hits and the test asserts each
 one), on hypothesis-drawn gaps up to 1.7e308, and across a checkpoint
@@ -24,6 +27,7 @@ from __future__ import annotations
 import ast
 import math
 import struct
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -85,6 +89,8 @@ class ReferencePredictor:
                     self.hits["non-finite step"] += 1
             else:
                 self.hits["non-finite error"] += 1
+        resum = not (-sys.float_info.max / self.window < self.sum
+                     < sys.float_info.max / self.window)
         if len(self.ring) == self.window:
             self.sum -= self.ring[self.head]
             self.ring[self.head] = gap
@@ -94,6 +100,11 @@ class ReferencePredictor:
         else:
             self.ring.append(gap)
         self.sum += gap
+        if resum:
+            self.hits["sum re-added"] += 1
+            self.sum = 0.0
+            for kept in self.ring:
+                self.sum += kept
         mean = self.sum / len(self.ring)
         if self.count == 0:
             self.ewma = gap
@@ -265,8 +276,26 @@ def test_corpus_reaches_every_branch():
         "non-finite error",
         "non-finite step",
         "ring wrap",
+        "sum re-added",
     ):
         assert hits[branch] > 0, branch
+
+
+def test_overflowed_window_sum_recovers():
+    """Two gaps near 1e308 overflow the window's running sum to inf.  Once
+    they have left the window the sum is the window's again, and the
+    predictor reads what a clean one does, not the 0.0 of a mean stuck at
+    inf (nor the quarter of the truth a sum re-added only while it is inf
+    would give: the re-added 1e308 swallows the 0.1 gaps beside it)."""
+    poisoned = OnlineArrivalPredictor(window=4)
+    poisoned.extend([1e308, 1e308] + [0.1] * 10)
+    clean = OnlineArrivalPredictor(window=4)
+    clean.extend([0.1] * 10)
+    assert poisoned.to_dict()["sum"] == clean.to_dict()["sum"]
+    assert poisoned.predict() == clean.predict() == 0.1
+    reference = ReferencePredictor(lr=0.05, window=4, decay=0.1)
+    reference_run(reference, [1e308, 1e308] + [0.1] * 10)
+    assert state_bits(poisoned.to_dict()) == state_bits(reference.to_dict())
 
 
 drawn_gaps = st.lists(

@@ -9,6 +9,7 @@ import asyncio
 import json
 import math
 import random
+import time
 from bisect import bisect_left
 
 import pytest
@@ -375,8 +376,16 @@ class TestAcceptance:
                 max_detection_time=1.0, max_mistake_rate=5.0, min_query_accuracy=0.0
             )
             ins = Instruments(trace_heartbeats=True)
+            # The monitor's clock stops at the quiescent point below, so
+            # the scrape's status gauges and the table describe one instant.
+            stopped_at: list[float] = []
+
+            def clock() -> float:
+                return stopped_at[0] if stopped_at else time.monotonic()
+
             monitor = LiveMonitor(
                 lambda nid: SFD(req, window_size=8, slot=SlotConfig(heartbeats=10)),
+                clock=clock,
                 instruments=ins,
             )
             await monitor.start()
@@ -388,12 +397,22 @@ class TestAcceptance:
                 await asyncio.sleep(0.01)
                 if monitor.received >= 45:
                     break
+            # Quiesce before reading anything: the scrape yields to the
+            # event loop, so a running sender would land heartbeats between
+            # it and the table read.  Stop sending, then wait (bounded, in
+            # case loopback drops one) until the monitor has applied every
+            # datagram sent.
+            await sender.stop()
+            for _ in range(200):
+                if monitor.received >= sender.sent:
+                    break
+                await asyncio.sleep(0.01)
+            stopped_at.append(time.monotonic())
             server = MetricsServer(ins.registry, events=ins.events)
             await server.start()
             status, body = await http_get(server.url)
             state = monitor.table.node("node-a")
             table_total = state.heartbeats + state.stale_dropped
-            await sender.stop()
             await monitor.stop()
             await server.stop()
             return status, body, table_total, ins

@@ -1,43 +1,45 @@
 """The SFD replay kernel is bitwise equal to the plain per-slot loop.
 
-:func:`repro.replay.vectorized.sfd_evaluate` computes everything that
-does not depend on the margin once per call, and scans a slot's reveals
-as arrays only when one of them could be late: when the slot's first
-reveal is late under the previous slot's margin, or when the margin is
-below the slot's late bound.  The reference below is the straightforward
-loop that scans every slot, kept only as the oracle.  Freshness points
-(as int64 views), every :class:`~repro.core.feedback.TuningRecord`, the
-final margin and the status must agree with ``==``; a raising policy
-must raise with the same measured QoS.  The fixed cases pin the seams of
-the skip: slot sizes around numpy's pairwise-summation blocks, arrivals
-exactly on their guard and one ulp past it (in a slot's body and at its
-first reveal), and a reveal whose ``A − EA`` rounds, so the skip bound
-must fail its exact check.
+:func:`repro.replay.vectorized.sfd_stage` computes everything that does
+not depend on the margin once per sweep group, and
+:func:`~repro.replay.vectorized.sfd_evaluate` runs the feedback loop's
+slot recurrence over it, scanning a slot's reveals as arrays only when
+one of them could be late: when the previous slot's margin is below the
+slot's first-reveal bound, or its own margin below its late bound.  The
+reference below is the straightforward loop that scans every slot and
+closes it with the per-slot driver the recurrence replaced (the oracle
+of ``tests/test_feedback_kernel.py``), kept only as the oracle.
+Freshness points (as int64 views), every
+:class:`~repro.core.feedback.TuningRecord`, the final margin and the
+status must agree with ``==``; a raising policy must raise with the same
+measured QoS.  The fixed cases pin the seams of the skip: slot sizes
+around numpy's pairwise-summation blocks, arrivals exactly on their guard
+and one ulp past it (in a slot's body and at its first reveal), and a
+reveal whose ``A − EA`` rounds, so the skip bound must fail its exact
+check.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.feedback import (
-    FeedbackController,
-    FeedbackDriver,
-    InfeasiblePolicy,
-    SlotConfig,
-)
+from repro.core.feedback import InfeasiblePolicy, SlotConfig
 from repro.errors import InfeasibleQoSError
 from repro.qos.spec import QoSRequirements
 from repro.replay.vectorized import (
-    KernelRun,
+    _first_bounds,
     _late_bounds,
     chen_expected_arrivals,
     sfd_evaluate,
+    sfd_stage,
 )
 from repro.traces.trace import MonitorView
+from tests.test_feedback_kernel import ReferenceController, ReferenceDriver
 
 LOOSE = QoSRequirements(
     max_detection_time=0.9, max_mistake_rate=0.35, min_query_accuracy=0.99
@@ -59,14 +61,14 @@ def reference_sfd_evaluate(
     slot: SlotConfig,
     policy: InfeasiblePolicy = InfeasiblePolicy.STOP,
     sm_bounds: tuple[float, float] = (0.0, math.inf),
-) -> KernelRun:
+) -> SimpleNamespace:
     """Scan every slot: write ``FP = EA + SM``, tally, find late reveals."""
     arrivals = view.arrivals
     n = arrivals.size
     r0 = window - 1
     base_td = ea - view.send_times
-    driver = FeedbackDriver(
-        FeedbackController(requirements, alpha=alpha, beta=beta, policy=policy),
+    driver = ReferenceDriver(
+        ReferenceController(requirements, alpha=alpha, beta=beta, policy=policy),
         slot,
         sm_bounds,
     )
@@ -105,9 +107,15 @@ def reference_sfd_evaluate(
                 td_count,
             )
         start = stop
-    return KernelRun(
+    return SimpleNamespace(
         freshness=fp, tuning=driver.trace, final_margin=sm, status=driver.status
     )
+
+
+def staged_sfd_evaluate(view, ea, requirements, *, window, slot, **kw):
+    """The kernel as the registry runs it: a stage, then one grid point."""
+    stage = sfd_stage(view, ea, window=window, heartbeats=slot.heartbeats)
+    return sfd_evaluate(view, stage, requirements, slot=slot, **kw)
 
 
 def run_both(
@@ -126,7 +134,7 @@ def run_both(
     if ea is None:
         ea = chen_expected_arrivals(view, window)
     out = []
-    for kernel in (reference_sfd_evaluate, sfd_evaluate):
+    for kernel in (reference_sfd_evaluate, staged_sfd_evaluate):
         try:
             out.append(kernel(view, ea, requirements, window=window, **kw))
         except InfeasibleQoSError as exc:
@@ -166,7 +174,7 @@ def jittered_arrivals(n: int, seed: int, start: float = 1000.0) -> np.ndarray:
     return start + np.concatenate(([0.0], np.cumsum(np.abs(gaps))))
 
 
-def mistakes_per_slot(result: KernelRun) -> list[int]:
+def mistakes_per_slot(result) -> list[int]:
     """Each record's mistake count: per slot under ``horizon=1``,
     cumulative since warm-up under the default horizon."""
     return [rec.qos.mistakes for rec in result.tuning]
@@ -194,7 +202,7 @@ def test_slot_sizes(h, partial):
 
 @pytest.mark.parametrize("h", [7, 100, 129, 10000])
 def test_slot_sums_equal_np_sum_per_slice(h):
-    """The once-per-call row-wise reduce adds each slot like ``np.sum``."""
+    """The stage's row-wise reduce adds each slot like ``np.sum``."""
     x = np.random.default_rng(h).standard_normal(3 * h + 5) * 1e3
     rows = np.add.reduce(x[5:].reshape(3, h), axis=1)
     per_slice = [np.sum(x[5 + k * h : 5 + (k + 1) * h]) for k in range(3)]
@@ -263,7 +271,17 @@ def test_rounded_bound_takes_the_exact_path():
     3.5: under a margin equal to the slot's bound the reveal is still
     late.  The bound's exact check must fail, so the slot is scanned.
     """
-    j = WINDOW - 1 + H + 4  # in the body of slot 1
+    assert_rounded_bound_scanned(first=False)
+
+
+def test_rounded_first_bound_takes_the_exact_path():
+    """The same for a slot's first reveal, whose bound is on the previous
+    slot's margin (:func:`_first_bounds`)."""
+    assert_rounded_bound_scanned(first=True)
+
+
+def assert_rounded_bound_scanned(first: bool) -> None:
+    j = WINDOW - 1 + H + (0 if first else 4)  # slot 1's first reveal or body
     arrivals = 0.05 * np.arange(WINDOW - 1 + 3 * H, dtype=np.float64)
     ea = arrivals + 0.05
     prev = 1.0 + 2.0**-52
@@ -283,10 +301,12 @@ def test_rounded_bound_takes_the_exact_path():
     assert_same(expected, actual)
     assert mistakes_per_slot(expected) == [0, 1, 1]
     rows = slice(WINDOW - 1, WINDOW - 1 + 3 * H)
-    bound = _late_bounds(
-        view.arrivals[rows].reshape(3, H), ea[rows].reshape(3, H)
-    )
-    assert bound[0] < need and bound[1] == math.inf and bound[2] < need
+    a_rows = view.arrivals[rows].reshape(3, H)
+    ea_rows = ea[rows].reshape(3, H)
+    late, first_reveal = _late_bounds(a_rows, ea_rows), _first_bounds(a_rows, ea_rows)
+    rounded, other = (first_reveal, late) if first else (late, first_reveal)
+    assert rounded[0] < need and rounded[1] == math.inf and rounded[2] < need
+    assert (other < need).all()
 
 
 @pytest.mark.parametrize(
