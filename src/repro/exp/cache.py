@@ -25,6 +25,15 @@ truncated, or mismatched file — or a manifest from a different format
 version — degrades to a cache miss and is rewritten on the next run,
 never a crash.  Writes are atomic (temp file + ``os.replace``), so a
 killed run cannot leave a half-written entry that poisons later runs.
+
+Once every job hits, hashing the view is most of a warm run, so a
+cache object also memoizes the fingerprint of each columnar
+:class:`~repro.traces.columnar.TraceStore` it has hashed, by file
+identity ``(st_dev, st_ino, st_size, st_mtime_ns, st_ctime_ns)`` as
+git's index does, recorded under git's racy-clean rule
+(:meth:`SweepCache.fingerprint`).  The memo lives in memory: a rerun
+through the same object reads no column byte, and a new process hashes
+once.  It changes no key, and in-memory views never consult it.
 """
 
 from __future__ import annotations
@@ -39,6 +48,8 @@ from typing import Any, Mapping
 
 from repro.exp.archive import qos_from_dict, qos_to_dict
 from repro.qos.spec import QoSReport
+from repro.traces.columnar import FileIdentity, TraceStore
+from repro.traces.trace import MonitorView
 
 __all__ = ["CACHE_FORMAT", "CacheStats", "SweepCache"]
 
@@ -97,6 +108,7 @@ class SweepCache:
         self.invalid = 0
         self.stored = 0
         self._new_entries: dict[str, dict[str, Any]] = {}
+        self._fingerprints: dict[FileIdentity, str] = {}
 
     # -- keying --------------------------------------------------------- #
 
@@ -117,6 +129,63 @@ class SweepCache:
 
     def path(self, key: str) -> Path:
         return self.directory / f"QOS_{key}.json"
+
+    # -- view fingerprints (memoized for columnar stores) --------------- #
+
+    def fingerprint(self, source: MonitorView | TraceStore) -> str:
+        """The view fingerprint that keys ``source``'s jobs.
+
+        A :class:`~repro.traces.columnar.TraceStore` whose file identity
+        (:meth:`~repro.traces.columnar.TraceStore.identity`) this cache
+        has recorded gets the digest back without a column byte read.
+        Anything else hashes as before: a store file this object has not
+        recorded, a store whose file changed since it opened, and every
+        in-memory view.  A store that is hashed is recorded under git's
+        racy-clean rule (:meth:`_remember`).  Memo lookups are not
+        counted in :attr:`hits`/:attr:`misses`.
+        """
+        identity = source.identity() if isinstance(source, TraceStore) else None
+        if identity is None:
+            return source.fingerprint()
+        known = self._fingerprints.get(identity)
+        return known if known is not None else self._remember(source)
+
+    def _remember(self, store: TraceStore) -> str:
+        """Hash ``store`` and record the digest under its identity.
+
+        The racy-clean rule of git's index: take a filesystem timestamp,
+        read the store's identity, hash, and record the digest only if
+        the store's mtime and ctime are both strictly older than that
+        timestamp.  Any write to the file after the timestamp then gives
+        it another identity — no user-space call sets ctime — so a
+        recorded digest never outlives the bytes it describes.
+        """
+        stamp = self._clock()
+        identity = store.identity()
+        fingerprint = store.fingerprint()
+        if (
+            stamp is not None
+            and identity is not None
+            and identity.mtime_ns < stamp
+            and identity.ctime_ns < stamp
+        ):
+            self._fingerprints[identity] = fingerprint
+        return fingerprint
+
+    def _clock(self) -> int | None:
+        """The filesystem's time now: the mtime of a fresh temp file in
+        the cache directory, or ``None`` when it cannot be written to
+        (which costs the memo, never the run)."""
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+            try:
+                return os.fstat(fd).st_mtime_ns
+            finally:
+                os.close(fd)
+                os.unlink(tmp)
+        except OSError:
+            return None
 
     # -- load (hit or miss, never a crash) ------------------------------ #
 

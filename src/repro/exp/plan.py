@@ -301,6 +301,10 @@ class ExperimentPlan:
         fingerprint, family, and full spec, so a cached run over
         unchanged inputs reassembles curves bit-identically to a cold
         one; per-run hit/miss counts land on :attr:`PlanResult.cache`.
+        Fingerprints come from :meth:`SweepCache.fingerprint
+        <repro.exp.cache.SweepCache.fingerprint>`, which answers from its
+        memo, without hashing, for a columnar store file it has hashed
+        before and that is unchanged since.
 
         ``policy`` (a :class:`~repro.exp.policy.FailurePolicy`) is
         forwarded to the executor.  Under ``continue`` mode,
@@ -342,7 +346,7 @@ class ExperimentPlan:
         invalid_before = cache.invalid if cache is not None else 0
         if cache is not None:
             fingerprints = {
-                name: view.fingerprint() for name, view in self._views.items()
+                name: cache.fingerprint(view) for name, view in self._views.items()
             }
             misses = []
             for job in jobs:

@@ -26,7 +26,12 @@ This module removes both costs with a versioned binary layout that
 Zero-copy contract: :meth:`TraceStore.view` returns a
 :class:`~repro.traces.trace.MonitorView` whose arrays are read-only
 views *into the mapped file* — no bytes are copied at load time, the OS
-pages them in on first touch.  Because
+pages them in on first touch.  A store validates and maps one open
+descriptor, never the path a second time, so what it serves is the file
+it validated even if the path is replaced or unlinked meanwhile; that
+descriptor's ``fstat`` is also the file identity
+(:meth:`TraceStore.identity`) by which the sweep cache memoizes the
+view's fingerprint.  Because
 :meth:`~repro.traces.trace.MonitorView.fingerprint` hashes exactly those
 raw bytes, a view loaded from a store fingerprints identically to the
 in-memory view it was packed from — which is why warm
@@ -48,8 +53,9 @@ import json
 import os
 import struct
 import tempfile
+import weakref
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 import numpy as np
 
@@ -59,6 +65,7 @@ from repro.traces.trace import HeartbeatTrace, MonitorView
 __all__ = [
     "COLUMNAR_MAGIC",
     "COLUMNAR_VERSION",
+    "FileIdentity",
     "TraceStore",
     "ColumnarWriter",
     "write_columnar",
@@ -97,6 +104,23 @@ _DTYPES = {
 
 def _align(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
+
+
+class FileIdentity(NamedTuple):
+    """What ``fstat`` says of a file: any change to its bytes moves
+    ``size``, ``mtime_ns`` or ``ctime_ns`` (git's index trusts the same)."""
+
+    dev: int
+    ino: int
+    size: int
+    mtime_ns: int
+    ctime_ns: int
+
+
+def _identity(st: os.stat_result) -> FileIdentity:
+    return FileIdentity(
+        st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+    )
 
 
 def is_columnar(path: str | Path) -> bool:
@@ -291,11 +315,14 @@ class ColumnarWriter:
 class TraceStore:
     """Memory-mapped reader over one columnar store file.
 
-    Opening a store parses and validates the header and meta block but
-    maps the columns lazily and *zero-copy*: :meth:`view` and
-    :meth:`trace` return arrays that alias the file's pages (read-only),
-    so "loading" a multi-million-heartbeat trace costs microseconds and
-    no resident memory until the replay actually touches the bytes.
+    Opening a store validates the header, the meta block and the size on
+    one descriptor and keeps it: the columns are mapped lazily and
+    *zero-copy* from that same descriptor, so a file replaced at (or
+    removed from) :attr:`path` after opening never changes what the store
+    serves.  :meth:`view` and :meth:`trace` return arrays that alias the
+    file's pages (read-only), so "loading" a multi-million-heartbeat
+    trace costs microseconds and no resident memory until the replay
+    actually touches the bytes.
 
     Stores are cheap to pickle — ``__reduce__`` ships only the path and
     the receiving process re-opens its own mapping — which is how the
@@ -305,36 +332,51 @@ class TraceStore:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        size = self.path.stat().st_size  # FileNotFoundError propagates as-is
+        fh = open(self.path, "rb")  # FileNotFoundError propagates as-is
+        try:
+            st = os.fstat(fh.fileno())
+            self._meta_block, self._columns = self._validate(fh, st.st_size)
+        except BaseException:
+            fh.close()
+            raise
+        # The store reads, maps and stats this one descriptor for its whole
+        # life; it is closed when the store is collected.
+        self._file = fh
+        weakref.finalize(self, fh.close)
+        self._identity = _identity(st)
+        self._mm: np.ndarray | None = None
+        self._view: MonitorView | None = None
+
+    def _validate(self, fh, size: int) -> tuple[dict, dict[str, dict[str, int]]]:
+        """Parse and check the header and meta block of an open file."""
         if size < _HEADER.size:
             raise TraceFormatError(
                 f"{self.path}: too short ({size} bytes) for a columnar header"
             )
-        with open(self.path, "rb") as fh:
-            raw = fh.read(_HEADER.size)
-            magic, version, _reserved, meta_off, meta_len, file_size = (
-                _HEADER.unpack(raw)
+        raw = fh.read(_HEADER.size)
+        magic, version, _reserved, meta_off, meta_len, file_size = (
+            _HEADER.unpack(raw)
+        )
+        if magic != COLUMNAR_MAGIC:
+            raise TraceFormatError(
+                f"{self.path}: not a columnar trace store (bad magic)"
             )
-            if magic != COLUMNAR_MAGIC:
-                raise TraceFormatError(
-                    f"{self.path}: not a columnar trace store (bad magic)"
-                )
-            if version != COLUMNAR_VERSION:
-                raise TraceFormatError(
-                    f"{self.path}: unsupported columnar format version {version}"
-                )
-            if file_size != size:
-                raise TraceFormatError(
-                    f"{self.path}: truncated or padded store "
-                    f"(header says {file_size} bytes, file has {size})"
-                )
-            if meta_off + meta_len > size or meta_off < _HEADER.size:
-                raise TraceFormatError(
-                    f"{self.path}: meta block [{meta_off}, {meta_off + meta_len}) "
-                    f"outside the file"
-                )
-            fh.seek(meta_off)
-            blob = fh.read(meta_len)
+        if version != COLUMNAR_VERSION:
+            raise TraceFormatError(
+                f"{self.path}: unsupported columnar format version {version}"
+            )
+        if file_size != size:
+            raise TraceFormatError(
+                f"{self.path}: truncated or padded store "
+                f"(header says {file_size} bytes, file has {size})"
+            )
+        if meta_off + meta_len > size or meta_off < _HEADER.size:
+            raise TraceFormatError(
+                f"{self.path}: meta block [{meta_off}, {meta_off + meta_len}) "
+                f"outside the file"
+            )
+        fh.seek(meta_off)
+        blob = fh.read(meta_len)
         try:
             meta = json.loads(blob.decode("utf-8"))
             if not isinstance(meta, dict):
@@ -343,10 +385,7 @@ class TraceStore:
             raise TraceFormatError(
                 f"{self.path}: corrupt meta block: {exc}"
             ) from exc
-        self._meta_block = meta
-        self._columns = self._check_directory(meta, limit=meta_off)
-        self._mm: np.ndarray | None = None
-        self._view: MonitorView | None = None
+        return meta, self._check_directory(meta, limit=meta_off)
 
     def _check_directory(
         self, meta: dict, *, limit: int
@@ -389,7 +428,15 @@ class TraceStore:
 
     def _map(self) -> np.ndarray:
         if self._mm is None:
-            self._mm = np.memmap(self.path, dtype=np.uint8, mode="r")
+            try:
+                self._mm = np.memmap(
+                    self._file, dtype=np.uint8, mode="r",
+                    shape=(self._identity.size,),
+                )
+            except ValueError as exc:  # the file shrank in place
+                raise TraceFormatError(
+                    f"{self.path}: store changed after it was opened: {exc}"
+                ) from exc
         return self._mm
 
     def column(self, name: str) -> np.ndarray:
@@ -432,6 +479,21 @@ class TraceStore:
         (the cache-migration stability guarantee)."""
         return self.view().fingerprint()
 
+    def identity(self) -> FileIdentity | None:
+        """``(st_dev, st_ino, st_size, st_mtime_ns, st_ctime_ns)`` of the
+        file this store validated and maps, or ``None`` once it changed.
+
+        Read now from the store's own descriptor, never from :attr:`path`,
+        so another file at ``path`` is never reported.  Any change to this
+        file since the store opened it moves its ctime — a write in place,
+        or losing its link when ``path`` is replaced or removed — and then
+        no identity is returned: the layout parsed at open no longer
+        vouches for the mapped bytes.  :class:`~repro.exp.cache.SweepCache`
+        memoizes :meth:`fingerprint` by this identity.
+        """
+        now = _identity(os.fstat(self._file.fileno()))
+        return now if now == self._identity else None
+
     # -- metadata -------------------------------------------------------- #
 
     @property
@@ -464,7 +526,7 @@ class TraceStore:
             "path": str(self.path),
             "format": "columnar",
             "version": COLUMNAR_VERSION,
-            "file_bytes": int(self.path.stat().st_size),
+            "file_bytes": self._identity.size,
             "name": self.name,
             "total_sent": self.total_sent,
             "total_received": received,

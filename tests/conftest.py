@@ -14,6 +14,10 @@ builders and identical requests don't re-synthesize.
 
 from __future__ import annotations
 
+import os
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -44,6 +48,30 @@ def regular_view(
         arrivals=send + delay,
         send_times=send,
     )
+
+
+def outlast_timestamps(path: Path) -> None:
+    """Wait until a file written now would be stamped later than ``path``.
+
+    On many kernels a file's mtime and ctime come from a clock that ticks
+    every few milliseconds, so two writes within one tick share a stamp.
+    Tests whose outcome rests on a timestamp comparison (the fingerprint
+    memo's racy-clean rule) settle here first.  The probe is written next
+    to ``path``, on the same filesystem and so the same clock.
+    """
+    st = os.stat(path)
+    last = max(st.st_mtime_ns, st.st_ctime_ns)
+    probe = path.with_name(path.name + ".probe")
+    deadline = time.monotonic() + 10.0
+    try:
+        while True:
+            probe.write_bytes(b"")
+            if os.stat(probe).st_mtime_ns > last:
+                return
+            assert time.monotonic() < deadline, "filesystem clock stands still"
+            time.sleep(0.001)
+    finally:
+        probe.unlink(missing_ok=True)
 
 
 def jittered_trace(n: int = 4000, seed: int = 0) -> HeartbeatTrace:

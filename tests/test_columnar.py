@@ -7,6 +7,8 @@ What the store *is* — layout round-trips, corrupt files rejected as
   (fingerprint stability: warm ``SweepCache`` entries survive an
   npz → columnar migration),
 * writes are atomic (a failing save never clobbers the existing file),
+* a store serves the file it validated, read and mapped through one
+  descriptor, even after its path is replaced or unlinked,
 * a :class:`TraceStore` pickles as its path, so process pools ship ~100
   bytes per worker instead of megabyte views, with serial ≡ parallel
   bit-identity intact.
@@ -39,6 +41,8 @@ from repro.traces import (
     write_columnar,
 )
 from repro.traces.columnar import _HEADER, COLUMNAR_MAGIC
+
+from conftest import outlast_timestamps
 
 
 @pytest.fixture(scope="module")
@@ -294,6 +298,59 @@ def test_missing_file_still_raises_file_not_found(tmp_path):
         HeartbeatTrace.load(tmp_path / "nope.npz")
     with pytest.raises(FileNotFoundError):
         TraceStore(tmp_path / "nope.bin")
+
+
+# --------------------------------------------------------------------- #
+# one descriptor: a store serves the file it validated
+# --------------------------------------------------------------------- #
+
+
+def _assert_same_view(view, expected):
+    assert len(view) == len(expected)
+    assert np.array_equal(view.seq, expected.seq)
+    assert np.array_equal(view.arrivals, expected.arrivals)
+    assert np.array_equal(view.send_times, expected.send_times)
+    assert view.dropped_stale == expected.dropped_stale
+
+
+@pytest.mark.parametrize("opened_n, replaced_n", [(20_000, 40_000), (40_000, 20_000)])
+def test_store_serves_the_file_it_validated_after_replacement(
+    tmp_path, opened_n, replaced_n
+):
+    opened = synthesize(WAN_JAIST, n=opened_n, seed=21)
+    path = tmp_path / "t.bin"
+    write_columnar(opened, path)
+    store = TraceStore(path)
+    write_columnar(synthesize(WAN_JAIST, n=replaced_n, seed=22), path)
+    _assert_same_view(store.view(), opened.monitor_view())
+    assert store.fingerprint() == opened.monitor_view().fingerprint()
+    assert store.info()["file_bytes"] != os.path.getsize(path)
+
+
+def test_store_serves_its_view_after_unlink(wan_trace, tmp_path):
+    path = tmp_path / "t.bin"
+    write_columnar(wan_trace, path)
+    store = TraceStore(path)
+    os.unlink(path)
+    _assert_same_view(store.view(), wan_trace.monitor_view())
+    assert store.identity() is None  # the unlink moved the file's ctime
+
+
+def test_identity_is_the_validated_files_until_it_changes(wan_trace, tmp_path):
+    path = tmp_path / "t.bin"
+    write_columnar(wan_trace, path)
+    store = TraceStore(path)
+    st = os.stat(path)
+    identity = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+    assert store.identity() == identity
+    write_columnar(wan_trace, path)  # same bytes, another file at the path
+    fresh = TraceStore(path)
+    assert fresh.identity()[1] == os.stat(path).st_ino != st.st_ino
+    assert store.identity() is None  # losing its link moved the old ctime
+    outlast_timestamps(path)
+    with open(path, "r+b") as fh:  # the same bytes written in place
+        fh.write(COLUMNAR_MAGIC)
+    assert fresh.identity() is None
 
 
 # --------------------------------------------------------------------- #

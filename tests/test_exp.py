@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import pickle
+import time
 import weakref
 
 import numpy as np
@@ -44,7 +46,10 @@ from repro.exp.archive import curve_from_dict, curve_to_dict
 from repro.qos.area import QoSCurve
 from repro.qos.spec import QoSReport, QoSRequirements
 from repro.replay import ChenSpec
-from repro.traces.trace import MonitorView
+from repro.traces.columnar import FileIdentity, TraceStore, write_columnar
+from repro.traces.trace import HeartbeatTrace, MonitorView
+
+from conftest import outlast_timestamps
 
 REQ = QoSRequirements(
     max_detection_time=0.8, max_mistake_rate=0.3, min_query_accuracy=0.98
@@ -617,6 +622,190 @@ class TestCache:
         warm = plan.run(ProcessPoolExecutor(jobs=2), cache=cache)
         assert warm.cache.hits == 8
         assert warm.curves == cold.curves
+
+
+class TestFingerprintMemo:
+    """A cache memoizes a columnar store's view fingerprint by file identity.
+
+    Timing-free: every test counts (and collects the results of) the
+    ``MonitorView.fingerprint`` calls a run makes.  A warm rerun through
+    the same cache over an unchanged store makes none; any change to the
+    file costs exactly one fresh hash.
+    """
+
+    @pytest.fixture()
+    def hashes(self, monkeypatch) -> list[str]:
+        real = MonitorView.fingerprint
+        seen: list[str] = []
+
+        def counting(view):
+            seen.append(real(view))
+            return seen[-1]
+
+        monkeypatch.setattr(MonitorView, "fingerprint", counting)
+        return seen
+
+    @pytest.fixture()
+    def trace(self, trace_factory) -> HeartbeatTrace:
+        return trace_factory("jittered", n=3000, seed=5)
+
+    @pytest.fixture()
+    def path(self, trace, tmp_path):
+        path = tmp_path / "t.bin"
+        write_columnar(trace, path)
+        # So that the cold run may record the store on any clock.
+        outlast_timestamps(path)
+        return path
+
+    @staticmethod
+    def plan(source) -> ExperimentPlan:
+        plan = ExperimentPlan().add_trace("t", source)
+        plan.add_sweep("t", "chen", (0.05, 0.5), window=100)
+        return plan
+
+    def cold(self, path, tmp_path, hashes):
+        """A cold run that hashed once; returns the cache, the result and
+        the digest."""
+        cache = SweepCache(tmp_path / "cache")
+        result = self.plan(TraceStore(path)).run(cache=cache)
+        assert len(hashes) == 1
+        digest = hashes.pop()
+        return cache, result, digest
+
+    def test_warm_rerun_over_unchanged_store_never_hashes(
+        self, path, tmp_path, hashes
+    ):
+        cache, cold, digest = self.cold(path, tmp_path, hashes)
+        for _ in range(2):
+            warm = self.plan(TraceStore(path)).run(cache=cache)
+            assert warm.cache.hits == 2 and warm.cache.misses == 0
+            assert warm.curves == cold.curves
+        assert hashes == []
+        # The memo is the cache object's: a new one (a new process, say)
+        # hashes once, then remembers.
+        fresh = SweepCache(cache.directory)
+        for _ in range(2):
+            warm = self.plan(TraceStore(path)).run(cache=fresh)
+            assert warm.cache.hits == 2 and warm.curves == cold.curves
+        assert hashes == [digest]
+        assert list(cache.directory.glob("*.tmp")) == []
+
+    def test_in_place_byte_flip_rehashes_once(self, path, tmp_path, hashes):
+        cache, _, _ = self.cold(path, tmp_path, hashes)
+        column = next(
+            c for c in TraceStore(path).info()["columns"]
+            if c["name"] == "view_arrivals"
+        )
+        at = column["offset"] + 8 * (column["count"] // 2)  # lowest byte
+        before = os.stat(path)
+        with open(path, "r+b") as fh:
+            fh.seek(at)
+            flipped = bytes([fh.read(1)[0] ^ 1])
+            fh.seek(at)
+            fh.write(flipped)
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(path)
+        assert (after.st_size, after.st_mtime_ns) == (
+            before.st_size, before.st_mtime_ns
+        )
+        expected = TraceStore(path).fingerprint()
+        hashes.clear()
+        rerun = self.plan(TraceStore(path)).run(cache=cache)
+        assert rerun.cache.misses == 2 and rerun.cache.hits == 0
+        assert hashes == [expected]
+
+    def test_same_size_rewrite_rehashes_once(self, trace, path, tmp_path, hashes):
+        cache, _, old = self.cold(path, tmp_path, hashes)
+        size = os.path.getsize(path)
+        write_columnar(
+            HeartbeatTrace(
+                send_times=trace.send_times,
+                delays=trace.delays + 1e-6,
+                name=trace.name,
+                meta=trace.meta,
+            ),
+            path,
+        )
+        assert os.path.getsize(path) == size
+        expected = TraceStore(path).fingerprint()
+        assert expected != old
+        hashes.clear()
+        rerun = self.plan(TraceStore(path)).run(cache=cache)
+        assert rerun.cache.misses == 2
+        assert hashes == [expected]
+
+    @pytest.mark.parametrize("field", FileIdentity._fields)
+    def test_identity_differing_in_any_field_is_rehashed(
+        self, field, path, tmp_path, hashes, monkeypatch
+    ):
+        cache, _, digest = self.cold(path, tmp_path, hashes)
+        real = TraceStore.identity
+
+        def moved(store):
+            identity = real(store)
+            return identity._replace(**{field: getattr(identity, field) + 1})
+
+        monkeypatch.setattr(TraceStore, "identity", moved)
+        rerun = self.plan(TraceStore(path)).run(cache=cache)
+        # Not a QoS miss: the entries it keys are intact.
+        assert (rerun.cache.hits, rerun.cache.invalid) == (2, 0)
+        assert hashes == [digest]
+
+    @pytest.mark.parametrize("field", ["mtime", "ctime"])
+    @pytest.mark.parametrize("when", ["after", "at"])
+    def test_store_stamped_at_or_after_the_timestamp_is_never_recorded(
+        self, field, when, path, tmp_path, hashes, monkeypatch
+    ):
+        stamp = time.time_ns() + 3600 * 10**9
+        if field == "mtime":
+            os.utime(path, ns=(stamp, stamp))
+        else:  # no user-space call sets ctime: report one
+            real = TraceStore.identity
+            monkeypatch.setattr(
+                TraceStore,
+                "identity",
+                lambda store: real(store)._replace(ctime_ns=stamp),
+            )
+        if when == "at":  # the filesystem clock reads the store's stamp
+            monkeypatch.setattr(SweepCache, "_clock", lambda cache: stamp)
+        cache = SweepCache(tmp_path / "cache")
+        for _ in range(3):
+            self.plan(TraceStore(path)).run(cache=cache)
+        assert len(hashes) == 3
+        assert list(cache.directory.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize(
+        "call", ["repro.exp.cache.tempfile.mkstemp", "repro.exp.cache.os.unlink"]
+    )
+    def test_failing_clock_only_costs_the_memo(
+        self, call, path, tmp_path, hashes, monkeypatch
+    ):
+        cache, cold, _ = self.cold(path, tmp_path, hashes)
+
+        def refuse(*args, **kwargs):
+            raise OSError("read-only or failing cache directory")
+
+        monkeypatch.setattr(call, refuse)
+        fresh = SweepCache(cache.directory)
+        for _ in range(2):
+            warm = self.plan(TraceStore(path)).run(cache=fresh)
+            assert warm.cache.hits == 2 and warm.curves == cold.curves
+        assert len(hashes) == 2
+
+    def test_in_memory_sources_never_touch_the_memo(
+        self, trace, tmp_path, hashes, monkeypatch
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an in-memory source consulted the memo")
+
+        monkeypatch.setattr(SweepCache, "_remember", forbidden)
+        monkeypatch.setattr(SweepCache, "_clock", forbidden)
+        trace.save(tmp_path / "t.npz")
+        cache = SweepCache(tmp_path / "cache")
+        for source in (trace.monitor_view(), trace, tmp_path / "t.npz"):
+            for _ in range(2):
+                self.plan(source).run(cache=cache)
+        assert len(hashes) == 6
 
 
 class TestPrepareOnce:
