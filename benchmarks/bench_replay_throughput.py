@@ -14,7 +14,10 @@ timed here:
   contract is what makes load + replay + QoS clear 1M heartbeats/s end
   to end; that bound is asserted (``BENCH_replay_pipeline.json``),
   along with the streaming-vs-vectorized ratio that justifies the
-  vectorized engine's existence.
+  vectorized engine's existence;
+* **a cold plan's first touch** — ``perfbench`` ``pipeline``'s 23-point
+  plan run cold over the same store: CPU, minor page faults, and the
+  ``tracemalloc`` peak per stage (``BENCH_replay_plan_cold.json``).
 
 ``REPRO_BENCH_PIPELINE_N`` scales the pipeline trace (default 2M
 heartbeats; CI smoke runs use a reduced count).
@@ -22,15 +25,18 @@ heartbeats; CI smoke runs use a reduced count).
 
 import dataclasses
 import os
+import resource
 import statistics
 import time
+import tracemalloc
 
 import pytest
 
 import numpy as np
 
 from repro.core import SFD, SlotConfig
-from repro.detectors import MLFD, BertierFD, ChenFD
+from repro.detectors import MLFD, BertierFD, ChenFD, registry
+from repro.exp import ExperimentPlan, SerialExecutor
 from repro.obs import Instruments
 from repro.qos.spec import QoSRequirements
 from repro.replay import (
@@ -40,7 +46,13 @@ from repro.replay import (
     SFDSpec,
     replay,
 )
-from repro.replay.vectorized import ml_prediction_arrays, quantile_stage
+from repro.replay.engine import _account
+from repro.replay.vectorized import (
+    chen_expected_arrivals,
+    ml_prediction_arrays,
+    phi_stage,
+    quantile_stage,
+)
 from repro.traces import TraceStore, WAN_JAIST, synthesize, synthesize_to
 
 from _common import SEED, bench_stats, emit, interleaved_min, qos_dict
@@ -407,6 +419,133 @@ def test_pipeline_end_to_end(benchmark, pipeline_store):
     # The ROADMAP acceptance bound: ≥1M hb/s for the full pipeline.
     assert rate > 1e6
     assert res.qos.samples > 0
+
+
+#: ``perfbench`` ``pipeline``'s plan: (family, grid), all at window 1000.
+COLD_PLAN = (
+    ("chen", (0.005, 0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 0.9)),
+    ("phi", (0.5, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0)),
+    ("fixed", (0.1, 0.2, 0.5, 1.0)),
+    ("sfd", (0.005, 0.05, 0.2, 0.9)),
+)
+#: Gate on the cold plan's tracemalloc peak, in view-length float64 arrays.
+COLD_PLAN_PEAK_ARRAYS = 6.0
+
+
+def _cold_plan(store) -> ExperimentPlan:
+    plan = ExperimentPlan().add_trace("trace", store)
+    for family, grid in COLD_PLAN:
+        params = {} if family == "fixed" else {"window": 1000}
+        if family == "sfd":
+            params["requirements"] = REQ
+        plan.add_sweep("trace", family, grid, **params)
+    return plan
+
+
+def _traced_peak(fn) -> int:
+    """Bytes ``fn`` allocated at its peak, by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_cold_plan_first_touch(pipeline_store):
+    """A cold plan run of ``perfbench`` ``pipeline``'s shape: CPU and first touch.
+
+    chen×8, phi×7, fixed×4 and sfd×4 at window 1000 over the bench's
+    columnar store, each run on a freshly opened store with no result
+    cache, on the serial executor.  Recorded: the min-of-3 cold CPU time,
+    the minor page faults (``ru_minflt``) of each cold run — the pages it
+    first-touches, ~4 KiB each — and ``tracemalloc`` peaks in view-length
+    float64 arrays (``8·n`` bytes): the whole run, Chen's ``EA`` build,
+    φ's stage build, and one grouped point's accounting on the scratch its
+    group lends.
+
+    The gate is the whole run's peak alone: a count of bytes the code
+    allocates, the same on every host, where CPU and faults depend on the
+    host's allocator and load.  Its bound of 6 arrays follows from the
+    stages.  The peak falls in the φ group: Chen's ``EA`` (1, kept in the
+    trace's scope for sfd), φ's stage (2), one point's freshness array
+    (1) and the group's accounting scratch (1 float64 plus ⅛ bool) make
+    5.125, and the feedback loop's per-slot rows add under 0.5 at slot
+    100, so 6 leaves a third of an array of slack.  Before the stages ran
+    in place on group-owned buffers, the same run peaked at ~15.
+    """
+    path = str(pipeline_store.path)
+    view = TraceStore(path).view()
+    n = len(view)
+    unit = 8.0 * n
+    jobs = len(_cold_plan(pipeline_store))
+
+    def cold():
+        result = _cold_plan(TraceStore(path)).run(SerialExecutor())
+        assert not result.failures
+        return result
+
+    cold()  # imports and page cache warm, as in every later plan run
+    cpu, faults = [], []
+    for _ in range(3):
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        c0 = time.process_time()
+        cold()
+        cpu.append(time.process_time() - c0)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+    plan_peak = _traced_peak(cold) / unit
+    ea_peak = _traced_peak(lambda: chen_expected_arrivals(view, 1000)) / unit
+    phi_peak = _traced_peak(lambda: phi_stage(view, 1000)) / unit
+    spec = ChenSpec(alpha=0.1, window=1000)
+    holder = registry.PreparedStage((spec, spec))
+    fp = replay(spec, view, prepared=holder).freshness
+
+    def account():
+        with holder.scratch(n - 999) as scratch:
+            _account(view, fp, 999, scratch)
+
+    account_peak = _traced_peak(account) / unit
+    best = min(cpu)
+    passed = plan_peak <= COLD_PLAN_PEAK_ARRAYS
+    emit(
+        "replay_plan_cold",
+        f"cold 23-point plan (chen x8, phi x7, fixed x4, sfd x4, window "
+        f"1000) over {n} heartbeats: min-of-3 CPU {best * 1e3:.0f} ms "
+        f"({best / (jobs * n) * 1e6:.4f} us per heartbeat replayed), "
+        f"{statistics.median(faults) / 1e3:.1f}k minor faults per cold run; "
+        f"tracemalloc peak {plan_peak:.2f} arrays (gate "
+        f"{COLD_PLAN_PEAK_ARRAYS:g}): EA {ea_peak:.2f}, phi stage "
+        f"{phi_peak:.2f}, accounting per grouped point {account_peak:.3f}",
+        data={
+            "plan": {name: list(grid) for name, grid in COLD_PLAN},
+            "window": 1000,
+            "jobs": jobs,
+            "heartbeats": n,
+            "store_bytes": pipeline_store.path.stat().st_size,
+            "cold_cpu_s": cpu,
+            "min_of_3_cpu_s": best,
+            "min_of_3_cpu_us_per_hb": best / (jobs * n) * 1e6,
+            "minflt_per_cold_run": faults,
+            "tracemalloc_peak_arrays": {
+                "plan_run": plan_peak,
+                "chen_ea": ea_peak,
+                "phi_stage": phi_peak,
+                "accounting_per_point": account_peak,
+            },
+            "array_bytes": int(unit),
+            "gate": {
+                "metric": "tracemalloc_peak_arrays.plan_run",
+                "bound": COLD_PLAN_PEAK_ARRAYS,
+                "value": plan_peak,
+                "passed": passed,
+            },
+        },
+    )
+    assert passed, (
+        f"cold plan peaked at {plan_peak:.2f} view-length arrays, "
+        f"bound {COLD_PLAN_PEAK_ARRAYS:g}"
+    )
 
 
 def test_instrumentation_overhead(view):

@@ -28,9 +28,17 @@ group: the first grid point builds it and every later one reuses it::
         stage = prepared.stage(lambda specs: expensive(view, spec.window))
         return KernelRun(cheap(stage, spec.value))
 
+Work that several families share lives one level up, in the holder's
+per-trace :attr:`~PreparedStage.scope`: chen, bertier and sfd all read
+Chen's ``EA`` through :meth:`PreparedStage.shared` under the key
+``("chen_ea", window, nominal_interval)``, so a plan builds it once per
+trace.  The holder also lends the accounting that follows each kernel
+call a view-length scratch (:meth:`PreparedStage.scratch`), so a group's
+later points first-touch only their own freshness array.
+
 A lone :func:`~repro.replay.engine.replay` passes ``PreparedStage((spec,))``,
-so it runs the same code as a sweep.  A kernel with nothing to share
-takes ``prepared`` and ignores it.
+with a scope of its own, so it runs the same code as a sweep.  A kernel
+with nothing to share takes ``prepared`` and ignores it.
 
 Consumers dispatch through :func:`get` / :func:`get_for_spec` instead of
 hard-coding families: the replay engine looks up the kernel, the sweep
@@ -52,8 +60,9 @@ acyclic.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -79,7 +88,7 @@ from repro.replay.engine import (
 )
 from repro.replay.vectorized import (
     KernelRun,
-    bertier_freshness,
+    bertier_evaluate,
     chen_evaluate,
     chen_expected_arrivals,
     fixed_freshness,
@@ -124,13 +133,21 @@ class PreparedStage:
     function of the view and the group's specs, so attempts that retry or
     race on the same holder see equal values.  :meth:`release` drops the
     stage once the group is done.
+
+    ``scope`` is a dict shared by every holder over the same trace (a
+    fresh one by default): :meth:`shared` builds a value once for all of
+    them.  Whoever creates the holders clears the scope after the last
+    group over its trace.  :meth:`scratch` lends the group's reusable
+    accounting buffers.
     """
 
-    __slots__ = ("specs", "_stage")
+    __slots__ = ("specs", "scope", "_stage", "_spare")
 
-    def __init__(self, specs: Iterable[Any]):
+    def __init__(self, specs: Iterable[Any], scope: dict | None = None):
         self.specs = tuple(specs)
+        self.scope = {} if scope is None else scope
         self._stage: Any = _UNBUILT
+        self._spare: list[tuple[np.ndarray, np.ndarray]] = []
 
     def stage(self, build: Callable[[tuple], Any]) -> Any:
         """The cached stage, computed as ``build(self.specs)`` on first use."""
@@ -138,8 +155,42 @@ class PreparedStage:
             self._stage = build(self.specs)
         return self._stage
 
+    def shared(self, key: Any, build: Callable[[], Any]) -> Any:
+        """``scope[key]``, computed as ``build()`` by the first holder over
+        the trace that asks; like a stage, a pure function of the view."""
+        value = self.scope.get(key, _UNBUILT)
+        if value is _UNBUILT:
+            value = self.scope[key] = build()
+        return value
+
+    @contextmanager
+    def scratch(self, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Lend a ``(float64, bool)`` buffer pair of ``size`` elements.
+
+        A pair is checked out for the ``with`` block and handed back after
+        it, so the group's later calls reuse it.  Checking out takes the
+        spare pair off the holder (``list.pop`` is one atomic step), so a
+        call that never hands its pair back, such as an attempt abandoned
+        on a timed-out thread, keeps it to itself and the next call gets a
+        fresh one.  The contents are undefined on entry.
+        """
+        try:
+            floats, flags = self._spare.pop()
+        except IndexError:
+            floats = flags = None
+        if floats is None or floats.size != size:
+            floats = np.empty(size, dtype=np.float64)
+            flags = np.empty(size, dtype=bool)
+        try:
+            yield floats, flags
+        finally:
+            if not self._spare:
+                self._spare.append((floats, flags))
+
     def release(self) -> None:
+        """Drop the stage and the scratch buffers."""
         self._stage = _UNBUILT
+        self._spare.clear()
 
 
 def _coerce_value(raw: str) -> Any:
@@ -291,21 +342,31 @@ class DetectorFamily:
 # --------------------------------------------------------------------- #
 
 
+def _chen_ea(view: MonitorView, spec, prepared: PreparedStage) -> np.ndarray:
+    """Chen's ``EA`` at the spec's window, built once per trace scope and
+    read-only, since chen, bertier and sfd groups all read it."""
+
+    def build() -> np.ndarray:
+        ea = chen_expected_arrivals(view, spec.window, spec.nominal_interval)
+        ea.flags.writeable = False
+        return ea
+
+    return prepared.shared(("chen_ea", spec.window, spec.nominal_interval), build)
+
+
 def _chen_kernel(
     view: MonitorView, spec: ChenSpec, prepared: PreparedStage
 ) -> KernelRun:
-    ea = prepared.stage(
-        lambda specs: chen_expected_arrivals(view, spec.window, spec.nominal_interval)
-    )
-    return KernelRun(chen_evaluate(ea, spec.alpha))
+    return KernelRun(chen_evaluate(_chen_ea(view, spec, prepared), spec.alpha))
 
 
 def _bertier_kernel(
     view: MonitorView, spec: BertierSpec, prepared: PreparedStage
 ) -> KernelRun:
     return KernelRun(
-        bertier_freshness(
+        bertier_evaluate(
             view,
+            _chen_ea(view, spec, prepared),
             beta=spec.beta,
             phi=spec.phi,
             gamma=spec.gamma,
@@ -356,7 +417,7 @@ def _sfd_kernel(
     stage = prepared.stage(
         lambda specs: sfd_stage(
             view,
-            chen_expected_arrivals(view, spec.window, spec.nominal_interval),
+            _chen_ea(view, spec, prepared),
             window=spec.window,
             heartbeats=spec.slot.heartbeats,
         )

@@ -28,12 +28,14 @@ pool ``initargs``, which under ``fork`` are inherited through process
 memory — multi-million-sample arrival arrays are shared copy-on-write
 with zero serialization.  Columnar-backed plans are cheaper still: a
 :class:`~repro.traces.columnar.TraceStore` entry pickles as its *path*
-(~100 bytes), so on platforms without ``fork`` — where initargs travel
-by pickle — each worker re-opens its own memory mapping of the trace
-file instead of unpickling megabytes of view arrays; serial and
-parallel runs stay bit-identical because every mapping reads the same
-on-disk bytes.  No parent-process state is mutated, so concurrent
-``run`` calls from different threads are safe.
+and file identity (~200 bytes), so on platforms without ``fork`` — where
+initargs travel by pickle — each worker re-opens its own memory mapping
+of the trace file instead of unpickling megabytes of view arrays; serial
+and parallel runs stay bit-identical because every mapping reads the
+same on-disk bytes, and a worker whose path now names another file fails
+with :class:`~repro.errors.TraceFormatError` instead of replaying it.  No
+parent-process state is mutated, so concurrent ``run`` calls from
+different threads are safe.
 
 Failure handling is driven by a declarative
 :class:`~repro.exp.policy.FailurePolicy`, and stays per job inside a
@@ -235,7 +237,9 @@ class SerialExecutor:
     replay.  Each sweep group shares one
     :class:`~repro.detectors.registry.PreparedStage`, released once the
     group's last job succeeds or is given up; with jobs in plan order at
-    most one stage is alive at a time.  With no policy (or no
+    most one stage is alive at a time.  The holders over one trace share
+    one scope (Chen's ``EA`` for chen, bertier and sfd), cleared once the
+    last job over that trace is done.  With no policy (or no
     ``timeout``) a job runs inline at zero overhead; a per-job
     ``timeout`` moves attempts onto one
     persistent worker thread (:class:`_TimeoutRunner`) so a hung replay
@@ -276,8 +280,10 @@ class SerialExecutor:
         runner: _TimeoutRunner | None = None
         groups = _groups(jobs)
         last = {members[-1].index for members in groups.values()}
+        trace_last = {job.trace: job.index for job in jobs}
+        scopes: dict[str, dict] = {trace: {} for trace in trace_last}
         holders = {
-            key: PreparedStage(j.spec for j in members)
+            key: PreparedStage((j.spec for j in members), scopes[key[0]])
             for key, members in groups.items()
         }
 
@@ -298,6 +304,8 @@ class SerialExecutor:
             # *mid-replay*; it must not keep mutating shared metrics
             # concurrently with the jobs that follow.  It may keep using
             # the group's stage: a stage is a pure function of its inputs.
+            # It keeps the scratch it checked out, so the next attempt
+            # gets fresh buffers.
             qos, kind, tb = runner.attempt(
                 lambda: self._call(job, views[job.trace], None, attempt, shared),
                 pol.timeout,
@@ -324,6 +332,8 @@ class SerialExecutor:
                 )
             if job.index in last:
                 holders.pop((job.trace, job.sweep)).release()
+            if job.index == trace_last[job.trace]:
+                scopes.pop(job.trace).clear()
             if failure is not None:
                 if pol.fail_fast:
                     raise JobFailedError(
@@ -370,11 +380,11 @@ def _run_group(
 ) -> list[tuple]:
     """Worker task: the ``(job, attempt)`` members of one group, in order.
 
-    Members share one :class:`~repro.detectors.registry.PreparedStage`
-    and each returns its own ``(index, qos, traceback)``.  The task stops
-    at the first member that fails, so a fail-fast abort is not held up
-    by the rest of the group; the driver requeues the members it never
-    reached.
+    Members share one :class:`~repro.detectors.registry.PreparedStage`,
+    with a scope of the task's own, and each returns its own ``(index,
+    qos, traceback)``.  The task stops at the first member that fails, so
+    a fail-fast abort is not held up by the rest of the group; the driver
+    requeues the members it never reached.
     """
     prepared = PreparedStage(job.spec for job, _attempt in members)
     results = []

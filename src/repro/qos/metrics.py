@@ -96,7 +96,9 @@ def qos_from_intervals(
     ends = np.asarray(ends, dtype=np.float64)
     mistakes = int(starts.size)
     mistake_time = float(np.sum(ends - starts)) if mistakes else 0.0
-    return _report(mistakes, mistake_time, detection_times, t_begin, t_end)
+    return _report(
+        mistakes, mistake_time, *_mean_detection(detection_times), t_begin, t_end
+    )
 
 
 def qos_from_freshness(
@@ -105,6 +107,9 @@ def qos_from_freshness(
     detection_times: np.ndarray,
     t_begin: float,
     t_end: float,
+    *,
+    gaps: np.ndarray | None = None,
+    late: np.ndarray | None = None,
 ) -> QoSReport:
     """Freshness points straight to a QoS report, in one fused array pass.
 
@@ -116,6 +121,11 @@ def qos_from_freshness(
     materializing the interval-bound arrays, which halves the memory
     traffic between trace bytes and the report on multi-million-heartbeat
     replays.
+
+    ``gaps`` (float64) and ``late`` (bool), each of at least
+    ``len(arrivals) − 1`` elements, receive the reveal gaps and the late
+    mask instead of fresh arrays.  The detection-time mean is taken
+    first, so ``gaps`` may be the buffer ``detection_times`` lives in.
     """
     arrivals = np.asarray(arrivals, dtype=np.float64)
     freshness = np.asarray(freshness, dtype=np.float64)
@@ -123,19 +133,34 @@ def qos_from_freshness(
         raise ConfigurationError(
             f"arrivals and freshness must align: {arrivals.shape} vs {freshness.shape}"
         )
+    td, samples = _mean_detection(detection_times)
     if arrivals.size < 2:
-        return _report(0, 0.0, detection_times, t_begin, t_end)
-    gaps = arrivals[1:] - np.maximum(freshness[:-1], arrivals[:-1])
-    wrong = gaps[gaps > 0]
+        return _report(0, 0.0, td, samples, t_begin, t_end)
+    m = arrivals.size - 1
+    gaps = np.maximum(
+        freshness[:-1], arrivals[:-1], out=None if gaps is None else gaps[:m]
+    )
+    np.subtract(arrivals[1:], gaps, out=gaps)
+    late = np.greater(gaps, 0.0, out=None if late is None else late[:m])
+    wrong = gaps[late]
     mistakes = int(wrong.size)
     mistake_time = float(np.sum(wrong)) if mistakes else 0.0
-    return _report(mistakes, mistake_time, detection_times, t_begin, t_end)
+    return _report(mistakes, mistake_time, td, samples, t_begin, t_end)
+
+
+def _mean_detection(detection_times: np.ndarray) -> tuple[float, int]:
+    """``(mean, count)`` of the detection-time samples; NaN when empty."""
+    detection_times = np.asarray(detection_times, dtype=np.float64)
+    if not detection_times.size:
+        return math.nan, 0
+    return float(np.mean(detection_times)), int(detection_times.size)
 
 
 def _report(
     mistakes: int,
     mistake_time: float,
-    detection_times: np.ndarray,
+    td: float,
+    samples: int,
     t_begin: float,
     t_end: float,
 ) -> QoSReport:
@@ -144,21 +169,17 @@ def _report(
         raise ConfigurationError(
             f"accounted period must be positive: [{t_begin!r}, {t_end!r}]"
         )
-    detection_times = np.asarray(detection_times, dtype=np.float64)
     total = float(t_end - t_begin)
     # Mistake time can marginally exceed the accounted span when the final
     # suspicion interval extends to the last arrival; clamp to keep QAP in
     # its domain.
     mistake_time = min(mistake_time, total)
-    td = math.nan
-    if detection_times.size:
-        td = float(np.mean(detection_times))
-        # The streaming rule (MistakeAccumulator.add_detection_sample) as
-        # one scalar test per job: a NaN or -inf sample makes the mean so.
-        if not td > -math.inf:
-            raise ConfigurationError(
-                f"detection sample must be a number or +inf, got {td!r}"
-            )
+    # The streaming rule (MistakeAccumulator.add_detection_sample) as one
+    # scalar test per job: a NaN or -inf sample makes the mean so.
+    if samples and not td > -math.inf:
+        raise ConfigurationError(
+            f"detection sample must be a number or +inf, got {td!r}"
+        )
     return QoSReport(
         detection_time=td,
         mistake_rate=mistakes / total,
@@ -166,7 +187,7 @@ def _report(
         mistakes=mistakes,
         mistake_time=mistake_time,
         accounted_time=total,
-        samples=int(detection_times.size),
+        samples=samples,
     )
 
 

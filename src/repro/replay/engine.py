@@ -309,23 +309,37 @@ class ReplayResult:
 
 
 def _account(
-    view: MonitorView, fp: np.ndarray, r0: int
+    view: MonitorView,
+    fp: np.ndarray,
+    r0: int,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> QoSReport:
     """Uniform QoS accounting over the post-warm-up region.
 
     One fused array pass (:func:`repro.qos.metrics.qos_from_freshness`):
     no per-heartbeat Python, and no interval-bound temporaries, between
-    the freshness series and the report.
+    the freshness series and the report.  ``scratch`` is a ``(float64,
+    bool)`` buffer pair of at least ``len(view) − r0`` elements, such as
+    :meth:`PreparedStage.scratch <repro.detectors.registry.PreparedStage.scratch>`
+    lends: the detection-time samples and then the reveal gaps are
+    written into its floats, the late mask into its flags.  Without one,
+    the pair is allocated here.
     """
     arrivals = view.arrivals[r0:]
     fresh = fp[r0:]
-    td = fresh - view.send_times[r0:]
+    size = fresh.size
+    if scratch is None:
+        scratch = np.empty(size, dtype=np.float64), np.empty(size, dtype=bool)
+    floats, flags = scratch
+    td = np.subtract(fresh, view.send_times[r0:], out=floats[:size])
     return qos_from_freshness(
         arrivals,
         fresh,
         td,
         t_begin=float(arrivals[0]),
         t_end=float(arrivals[-1]),
+        gaps=floats,
+        late=flags,
     )
 
 
@@ -358,7 +372,10 @@ def replay(
     kernel's parameter-independent stage; the executors pass one per
     group.  Without it replay passes ``PreparedStage((spec,))``, so the
     kernel builds its stage for this spec alone — the same prepare →
-    evaluate code either way, so results are equal bit for bit.
+    evaluate code either way, so results are equal bit for bit.  The
+    accounting runs on the holder's scratch buffers; the returned
+    :attr:`ReplayResult.freshness` is the kernel's own array, never a
+    scratch.
     """
     # Lazy import: the registry sits above both the detectors and replay
     # layers, so importing it at module scope would be cyclic.
@@ -376,7 +393,8 @@ def replay(
     if prepared is None:
         prepared = registry.PreparedStage((spec,))
     run = family.kernel(view, spec, prepared)
-    qos = _account(view, run.freshness, r0)
+    with prepared.scratch(len(view) - r0) as scratch:
+        qos = _account(view, run.freshness, r0, scratch)
     if instruments is not None:
         instruments.record_replay(
             spec.detector, len(view), time.perf_counter() - t0, qos=qos

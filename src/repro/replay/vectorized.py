@@ -12,9 +12,15 @@ Key identities used (derivations in the docstrings):
   ``EA = mean(A) + Δ·(s_next − mean(s))`` — two sliding means, computed by
   cumulative sums on *origin-shifted* values to avoid catastrophic
   cancellation on long traces.
+* A sliding sum is a difference of two shifted slices of one prefix-sum
+  array ``c``: past the filling prefix, the sums of every window of
+  ``w`` are ``c[w:] − c[:n − w + 1]`` and the count is the scalar ``w``,
+  so no index array is built or gathered.  The same holds for the
+  windowed spans ``A[r] − A[r − w + 1]`` behind Chen's ``Δ``.
 * Bertier's Eqs. (5-6) are first-order linear recurrences
   ``y_k = (1−γ)·y_{k−1} + γ·u_k``, solved in one pass each by
-  :func:`scipy.signal.lfilter`.
+  :func:`scipy.signal.lfilter` (imported on first use: ``scipy.signal``
+  pulls in ``scipy.stats``, which nothing else a monitor runs needs).
 * The φ threshold inverts to a *scalar* normal quantile:
   ``FP = A + μ + σ·ndtri(1 − 10^{−Φ})`` — the float64 rounding cutoff at
   ``Φ ≳ 15.95`` (``1 − 10^{−Φ} == 1.0``) is deliberately preserved, as the
@@ -39,7 +45,14 @@ function computes the arrays that do not depend on the swept parameter
 turns a stage into one grid point's freshness points.  The public
 ``*_freshness`` functions are exactly that composition; the registry's
 kernels compose the same two steps through a stage shared by a whole
-sweep group.
+sweep group, and chen, bertier and sfd read one Chen ``EA`` per trace.
+
+Stages write every intermediate into a few preallocated buffers
+(``out=``) in the order the plain expressions would evaluate, operands
+in their written order, so each element sees the same IEEE operations on
+the same operands and the results are equal bit for bit; only the number
+of view-length temporaries a call first-touches changes.  An
+``*_evaluate`` function returns a fresh array of its own.
 """
 
 from __future__ import annotations
@@ -50,7 +63,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.ndimage import rank_filter
-from scipy.signal import lfilter
 from scipy.special import ndtri
 
 from repro.errors import ConfigurationError
@@ -74,6 +86,7 @@ __all__ = [
     "chen_evaluate",
     "chen_freshness",
     "bertier_freshness",
+    "bertier_evaluate",
     "phi_stage",
     "phi_evaluate",
     "phi_freshness",
@@ -123,14 +136,32 @@ def _require_view(view: MonitorView, minimum: int) -> None:
         )
 
 
-def _trailing(x: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sliding sums ``s[r] = Σ x[max(0, r−w+1) .. r]`` and window counts."""
-    c = np.empty(x.size + 1, dtype=np.float64)
-    c[0] = 0.0
-    np.cumsum(x, out=c[1:])
-    idx = np.arange(x.size)
-    lo = np.maximum(idx - w + 1, 0)
-    return c[idx + 1] - c[lo], (idx - lo + 1).astype(np.float64)
+def _window_means(c: np.ndarray, w: int, out: np.ndarray) -> np.ndarray:
+    """Sliding means ``out[r] = Σ x[lo .. r] / (r − lo + 1)``.
+
+    Here ``lo = max(0, r − w + 1)``, and ``c`` holds the prefix sums of
+    ``x``: ``c[0] = 0`` and ``c[1:] = cumsum(x)``.  The filling prefix (``r < w − 1``) subtracts ``c[0]``
+    and divides by its counts ``1 .. w − 1``; every full window is the
+    shifted slice difference ``c[w:] − c[:n − w + 1]`` divided by the
+    scalar ``w``.  Element for element these are the IEEE operations of
+    gathering ``c[r + 1] − c[lo]`` and dividing by an array of counts.
+    """
+    n = out.size
+    k = min(w - 1, n)
+    np.subtract(c[1 : k + 1], c[0], out=out[:k])
+    np.subtract(c[w:], c[: n - k], out=out[k:])
+    np.divide(out[:k], np.arange(1, k + 1, dtype=np.float64), out=out[:k])
+    np.divide(out[k:], float(w), out=out[k:])
+    return out
+
+
+def _window_spans(v: np.ndarray, w: int, out: np.ndarray) -> np.ndarray:
+    """``out[r] = v[r] − v[max(0, r − w + 1)]`` as two slice differences."""
+    n = v.size
+    k = min(w - 1, n)
+    np.subtract(v[:k], v[0], out=out[:k])
+    np.subtract(v[w - 1 :], v[: n - k], out=out[k:])
+    return out
 
 
 def chen_expected_arrivals(
@@ -143,30 +174,42 @@ def chen_expected_arrivals(
     Matches :class:`~repro.detectors.estimation.ChenEstimator` over the
     (possibly still-filling) window ending at ``r``; ``EA[0]`` is NaN (a
     single sample predicts nothing).
+
+    Computed as ``mean_a + Δ·((s + 1) − mean_s)`` with each term written
+    into one of three view-length buffers plus a prefix-sum array, so a
+    call first-touches four arrays (the result included).
     """
     _require_view(view, 2)
     if window < 2:
         raise ConfigurationError(f"window must be >= 2, got {window!r}")
     arrivals = view.arrivals
+    n = arrivals.size
     seq = view.seq.astype(np.float64)
+    ea = np.empty(n, dtype=np.float64)  # mean_a, then EA
+    tail = np.empty(n, dtype=np.float64)  # mean_s, then Δ·((s + 1) − mean_s)
+    c = np.empty(n + 1, dtype=np.float64)  # prefix sums, then scratch
+    c[0] = 0.0
     # Origin-shift to keep cumulative sums small (cancellation control).
     a0, s0 = arrivals[0], seq[0]
-    rel_a = arrivals - a0
-    rel_s = seq - s0
-    sum_a, cnt = _trailing(rel_a, window)
-    sum_s, _ = _trailing(rel_s, window)
-    mean_a = sum_a / cnt + a0
-    mean_s = sum_s / cnt + s0
-    idx = np.arange(arrivals.size)
-    lo = np.maximum(idx - window + 1, 0)
+    np.subtract(arrivals, a0, out=ea)
+    np.cumsum(ea, out=c[1:])
+    _window_means(c, window, ea)
+    ea += a0
+    np.subtract(seq, s0, out=tail)
+    np.cumsum(tail, out=c[1:])
+    _window_means(c, window, tail)
+    tail += s0
+    np.add(seq, 1.0, out=c[1:])
+    np.subtract(c[1:], tail, out=tail)
     if nominal_interval is not None:
-        delta = np.full(arrivals.size, float(nominal_interval))
+        np.multiply(float(nominal_interval), tail, out=tail)
     else:
-        span_a = arrivals - arrivals[lo]
-        span_s = seq - seq[lo]
+        span_s = _window_spans(seq, window, c[1:])
+        delta = _window_spans(arrivals, window, seq)
         with np.errstate(divide="ignore", invalid="ignore"):
-            delta = span_a / span_s
-    ea = mean_a + delta * (seq + 1.0 - mean_s)
+            np.divide(delta, span_s, out=delta)
+        np.multiply(delta, tail, out=tail)
+    ea += tail
     ea[0] = np.nan
     return ea
 
@@ -198,42 +241,81 @@ def bertier_freshness(
     window: int = 1000,
     nominal_interval: float | None = None,
 ) -> np.ndarray:
-    """Bertier FD freshness points (Eqs. 4-8) via two ``lfilter`` passes.
+    """Bertier FD freshness points (Eqs. 4-8): :func:`bertier_evaluate`
+    on :func:`chen_expected_arrivals`."""
+    return bertier_evaluate(
+        view,
+        chen_expected_arrivals(view, window, nominal_interval),
+        beta=beta,
+        phi=phi,
+        gamma=gamma,
+        window=window,
+        nominal_interval=nominal_interval,
+    )
+
+
+def bertier_evaluate(
+    view: MonitorView,
+    ea: np.ndarray,
+    *,
+    beta: float = 1.0,
+    phi: float = 4.0,
+    gamma: float = 0.1,
+    window: int = 1000,
+    nominal_interval: float | None = None,
+) -> np.ndarray:
+    """Bertier's margin on a prepared Chen ``EA``, via two ``lfilter`` passes.
 
     The EWMA recurrences ``delay_k = (1−γ)delay_{k−1} + γ e_k`` and
     ``var_k = (1−γ)var_{k−1} + γ|e_k − delay_{k−1}|`` are linear constant-
     coefficient filters; ``lfilter([γ], [1, −(1−γ)], u)`` solves each in a
     single C pass.  Error samples start at received index 2 (the first
     prediction needs two samples), matching the streaming detector.
+    ``ea`` is :func:`chen_expected_arrivals` at ``window`` and
+    ``nominal_interval``; it is read, never written.
     """
     _require_view(view, 3)
     if not (0.0 < gamma <= 1.0):
         raise ConfigurationError(f"gamma must lie in (0, 1], got {gamma!r}")
+    from scipy.signal import lfilter
+
     arrivals = view.arrivals
     seq = view.seq
-    ea = chen_expected_arrivals(view, window, nominal_interval)
+    n = arrivals.size
     # Raw error of the prediction made at r−1 for the heartbeat received at
     # r, shifted by any loss gap at the estimated interval (see
-    # BertierFD._ingest).
-    idx = np.arange(arrivals.size)
-    lo = np.maximum(idx - window + 1, 0)
+    # BertierFD._ingest); the first usable error is for received index 2.
+    gaps = seq[2:] - seq[1:-1]
+    gaps -= 1
+    e = gaps.astype(np.float64)
+    del gaps
     if nominal_interval is not None:
-        delta = np.full(arrivals.size, float(nominal_interval))
+        e *= float(nominal_interval)
     else:
+        delta = _window_spans(arrivals, window, np.empty(n, dtype=np.float64))
+        span_s = _window_spans(seq, window, np.empty(n, dtype=seq.dtype))
         with np.errstate(divide="ignore", invalid="ignore"):
-            delta = (arrivals - arrivals[lo]) / (seq - seq[lo]).astype(np.float64)
-    gaps = (seq[1:] - seq[:-1] - 1).astype(np.float64)
-    e = arrivals[1:] - (ea[:-1] + gaps * delta[:-1])  # e[j] ~ heartbeat j+1
-    e = e[1:]  # first usable error is for received index 2
+            np.divide(delta, span_s, out=delta)
+        del span_s
+        e *= delta[1:-1]
+        del delta
+    np.add(ea[1:-1], e, out=e)
+    np.subtract(arrivals[2:], e, out=e)
     b, a = [gamma], [1.0, -(1.0 - gamma)]
     delay = lfilter(b, a, e)
-    delay_prev = np.empty_like(delay)
-    delay_prev[0] = 0.0
-    delay_prev[1:] = delay[:-1]
-    var = lfilter(b, a, np.abs(e - delay_prev))
-    margin = np.zeros(arrivals.size, dtype=np.float64)
-    margin[2:] = beta * delay + phi * var
-    fp = ea + margin
+    # |e − delay_prev| with delay_prev = (0, delay[:-1]); |e[0] − 0| is
+    # |e[0]| exactly, so only the tail is subtracted.
+    np.subtract(e[1:], delay[:-1], out=e[1:])
+    np.abs(e, out=e)
+    var = lfilter(b, a, e)
+    del e
+    np.multiply(beta, delay, out=delay)
+    np.multiply(phi, var, out=var)
+    delay += var
+    del var
+    fp = np.empty(n, dtype=np.float64)
+    np.add(ea[:2], 0.0, out=fp[:2])
+    np.add(ea[2:], delay, out=fp[2:])
     return fp
 
 
@@ -254,19 +336,33 @@ def phi_freshness(
 
 
 def phi_stage(view: MonitorView, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """The threshold-free part of φ: ``(A_r + μ_r, σ_r)`` for ``r >= 1``."""
+    """The threshold-free part of φ: ``(A_r + μ_r, σ_r)`` for ``r >= 1``.
+
+    ``μ = Σx/n`` and ``σ² = Σx²/n − μ²`` over the trailing gaps, each
+    written into one of three gap-length buffers, two of which are the
+    result.
+    """
     _require_view(view, 2)
     if window < 1:
         raise ConfigurationError(f"window must be >= 1, got {window!r}")
     arrivals = view.arrivals
     x = np.diff(arrivals)  # x[j] = inter-arrival ending at heartbeat j+1
-    sum_x, cnt = _trailing(x, window)
-    sum_x2, _ = _trailing(x * x, window)
-    mean = sum_x / cnt
-    var = sum_x2 / cnt - mean * mean
-    sigma = np.sqrt(np.maximum(var, 0.0))
+    m = x.size
+    c = np.empty(m + 1, dtype=np.float64)  # prefix sums, then μ²
+    c[0] = 0.0
+    np.cumsum(x, out=c[1:])
+    mean = _window_means(c, window, np.empty(m, dtype=np.float64))
+    np.multiply(x, x, out=x)
+    np.cumsum(x, out=c[1:])
+    sigma = _window_means(c, window, x)  # Σx²/n, then σ
+    np.multiply(mean, mean, out=c[1:])
+    sigma -= c[1:]
+    del c
+    np.maximum(sigma, 0.0, out=sigma)
+    np.sqrt(sigma, out=sigma)
     np.maximum(sigma, SIGMA_FLOOR, out=sigma)
-    return arrivals[1:] + mean, sigma
+    np.add(arrivals[1:], mean, out=mean)
+    return mean, sigma
 
 
 def phi_evaluate(
@@ -276,13 +372,16 @@ def phi_evaluate(
     if threshold <= 0:
         raise ConfigurationError(f"threshold must be > 0, got {threshold!r}")
     base, sigma = stage
-    fp = np.full(base.size + 1, np.nan, dtype=np.float64)
+    fp = np.empty(base.size + 1, dtype=np.float64)
+    fp[0] = np.nan
+    body = fp[1:]
     p = 1.0 - 10.0 ** (-float(threshold))
     if p >= 1.0:
         # Paper-faithful conservative-range cutoff.
-        fp[1:] = np.inf
+        body[:] = np.inf
         return fp
-    fp[1:] = base + sigma * float(ndtri(p))
+    np.multiply(sigma, float(ndtri(p)), out=body)
+    np.add(base, body, out=body)
     return fp
 
 
@@ -405,10 +504,7 @@ def fixed_freshness(view: MonitorView, timeout: float) -> np.ndarray:
     _require_view(view, 2)
     if timeout <= 0:
         raise ConfigurationError(f"timeout must be > 0, got {timeout!r}")
-    fp = np.full(view.arrivals.size, np.nan)
-    fp[1:] = view.arrivals[1:] + float(timeout)
-    fp[0] = view.arrivals[0] + float(timeout)
-    return fp
+    return view.arrivals + float(timeout)
 
 
 def ml_prediction_arrays(

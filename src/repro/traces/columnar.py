@@ -325,9 +325,12 @@ class TraceStore:
     actually touches the bytes.
 
     Stores are cheap to pickle — ``__reduce__`` ships only the path and
-    the receiving process re-opens its own mapping — which is how the
-    experiment executors pass *trace paths* to pool workers instead of
-    serializing whole views.
+    the file identity the store validated, and the receiving process
+    re-opens its own mapping — which is how the experiment executors pass
+    *trace paths* to pool workers instead of serializing whole views.
+    Unpickling raises :class:`TraceFormatError` when the file now at the
+    path is not that file (replaced, or changed in place), so a worker
+    never replays other bytes under the original store's fingerprint.
     """
 
     def __init__(self, path: str | Path):
@@ -540,10 +543,21 @@ class TraceStore:
         }
 
     def __reduce__(self):
-        return (TraceStore, (str(self.path),))
+        return (_reopen, (str(self.path), tuple(self._identity)))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TraceStore({str(self.path)!r}, heartbeats={self.total_sent})"
+
+
+def _reopen(path: str, identity: tuple) -> TraceStore:
+    """Pickle entry point: open ``path`` again, and only as the same file."""
+    store = TraceStore(path)
+    if store._identity != identity:
+        raise TraceFormatError(
+            f"{path}: not the file the store was pickled from "
+            f"(file identity {tuple(store._identity)}, expected {identity})"
+        )
+    return store
 
 
 def load_view(path: str | Path) -> MonitorView:

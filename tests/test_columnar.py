@@ -9,15 +9,18 @@ What the store *is* — layout round-trips, corrupt files rejected as
 * writes are atomic (a failing save never clobbers the existing file),
 * a store serves the file it validated, read and mapped through one
   descriptor, even after its path is replaced or unlinked,
-* a :class:`TraceStore` pickles as its path, so process pools ship ~100
-  bytes per worker instead of megabyte views, with serial ≡ parallel
-  bit-identity intact.
+* a :class:`TraceStore` pickles as its path and file identity, so
+  process pools ship ~200 bytes per worker instead of megabyte views,
+  with serial ≡ parallel bit-identity intact, and a worker unpickling it
+  after the file at that path was replaced or changed gets
+  :class:`TraceFormatError`, never the other file's heartbeats.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +142,54 @@ def test_store_pickles_as_path(store):
     assert len(blob) < 512, "store must pickle as its path, not its arrays"
     clone = pickle.loads(blob)
     assert clone.fingerprint() == store.fingerprint()
+
+
+def _replace_with_another_store(path, *, n, seed):
+    """``os.replace`` ``path`` with a freshly written store (new inode)."""
+    other = path.with_name("other.bin")
+    write_columnar(synthesize(WAN_JAIST, n=n, seed=seed), other)
+    os.replace(other, path)
+
+
+def test_unchanged_store_round_trips_through_pickle(tmp_path):
+    path = tmp_path / "t.bin"
+    write_columnar(synthesize(WAN_JAIST, n=20_000, seed=31), path)
+    store = TraceStore(path)
+    clone = pickle.loads(pickle.dumps(store))
+    assert clone.identity() == store.identity()
+    _assert_same_view(clone.view(), store.view())
+
+
+def test_unpickling_a_replaced_store_raises(tmp_path):
+    # What a spawn pool worker does with its view table: the file at the
+    # path is no longer the file the store validated and fingerprinted.
+    path = tmp_path / "t.bin"
+    write_columnar(synthesize(WAN_JAIST, n=20_000, seed=31), path)
+    blob = pickle.dumps(TraceStore(path))
+    _replace_with_another_store(path, n=20_000, seed=32)
+    with pytest.raises(TraceFormatError, match=re.escape(str(path))):
+        pickle.loads(blob)
+
+
+def test_unpickling_a_view_table_after_replacement_raises(tmp_path):
+    path = tmp_path / "t.bin"
+    write_columnar(synthesize(WAN_JAIST, n=20_000, seed=31), path)
+    plan = ExperimentPlan().add_trace("t", TraceStore(path))
+    blob = pickle.dumps(plan.views)  # a spawn pool's initializer argument
+    _replace_with_another_store(path, n=20_000, seed=32)
+    with pytest.raises(TraceFormatError, match="not the file the store was pickled from"):
+        pickle.loads(blob)
+
+
+def test_unpickling_a_store_changed_in_place_raises(wan_trace, tmp_path):
+    path = tmp_path / "t.bin"
+    write_columnar(wan_trace, path)
+    blob = pickle.dumps(TraceStore(path))
+    outlast_timestamps(path)
+    with open(path, "r+b") as fh:  # the same bytes written in place
+        fh.write(COLUMNAR_MAGIC)
+    with pytest.raises(TraceFormatError, match=re.escape(str(path))):
+        pickle.loads(blob)
 
 
 # --------------------------------------------------------------------- #
