@@ -162,6 +162,24 @@ def env_block() -> dict:
     }
 
 
+def gate(metric: str, value: float, bound: float, *, at_most: bool = False) -> dict:
+    """One bench gate as a ``{metric, bound, value, passed}`` record.
+
+    ``value`` passes above ``bound``, or at or below it with ``at_most``.
+    A bench puts its records into the data it passes to :func:`emit` and
+    only then calls :func:`assert_gates`, so a red run leaves a red record
+    instead of the last green one.
+    """
+    passed = value <= bound if at_most else value > bound
+    return {"metric": metric, "bound": bound, "value": value, "passed": bool(passed)}
+
+
+def assert_gates(*records: dict) -> None:
+    """Fail unless every :func:`gate` record passed."""
+    failed = [record for record in records if not record["passed"]]
+    assert not failed, f"gate(s) failed: {failed}"
+
+
 def emit(name: str, text: str, data: dict | None = None) -> None:
     """Print a rendered table/series and archive it for EXPERIMENTS.md.
 

@@ -16,8 +16,9 @@ timed here:
   along with the streaming-vs-vectorized ratio that justifies the
   vectorized engine's existence;
 * **a cold plan's first touch** — ``perfbench`` ``pipeline``'s 23-point
-  plan run cold over the same store: CPU, minor page faults, and the
-  ``tracemalloc`` peak per stage (``BENCH_replay_plan_cold.json``).
+  plan run cold over the same store: CPU, minor page faults, the
+  ``tracemalloc`` peak per stage, and the CPU of each family's kernel and
+  of the QoS accounting (``BENCH_replay_plan_cold.json``).
 
 ``REPRO_BENCH_PIPELINE_N`` scales the pipeline trace (default 2M
 heartbeats; CI smoke runs use a reduced count).
@@ -29,6 +30,7 @@ import resource
 import statistics
 import time
 import tracemalloc
+from contextlib import contextmanager
 
 import pytest
 
@@ -46,6 +48,7 @@ from repro.replay import (
     SFDSpec,
     replay,
 )
+from repro.replay import engine
 from repro.replay.engine import _account
 from repro.replay.vectorized import (
     chen_expected_arrivals,
@@ -55,7 +58,15 @@ from repro.replay.vectorized import (
 )
 from repro.traces import TraceStore, WAN_JAIST, synthesize, synthesize_to
 
-from _common import SEED, bench_stats, emit, interleaved_min, qos_dict
+from _common import (
+    SEED,
+    assert_gates,
+    bench_stats,
+    emit,
+    gate,
+    interleaved_min,
+    qos_dict,
+)
 
 N = 200_000
 PIPELINE_N = int(os.environ.get("REPRO_BENCH_PIPELINE_N", "2000000"))
@@ -162,9 +173,11 @@ def test_vectorized_sfd_throughput(benchmark, view):
         5, (lambda: replay(spec, view), lambda: replay(all_late, view), stream)
     )
     cases = {}
-    for name, result, case_rate, timing, cpu_s in (
-        ("spec", res, rate, bench_stats(benchmark), cpu[0]),
-        ("all_late", late_res, late_rate, late_timing, cpu[1]),
+    for name, result, case_rate, timing, cpu_s, bound in (
+        ("spec", res, rate, bench_stats(benchmark), cpu[0], 3e6),
+        # Every slot is scanned, but the loop must stay fast enough for
+        # sweeps.
+        ("all_late", late_res, late_rate, late_timing, cpu[1], 1e6),
     ):
         slots = len(result.tuning)
         cases[name] = {
@@ -176,6 +189,7 @@ def test_vectorized_sfd_throughput(benchmark, view):
             "late_slots": _late_slots(result.tuning),
             "final_margin": result.final_margin,
             "qos": qos_dict(result.qos),
+            "gate": gate("heartbeats_per_s", case_rate, bound),
         }
     stream_us = stream_cpu / len(seq) * 1e6
     emit(
@@ -205,9 +219,7 @@ def test_vectorized_sfd_throughput(benchmark, view):
             },
         },
     )
-    assert rate > 3e6
-    # Every slot is scanned, but the loop must stay fast enough for sweeps.
-    assert late_rate > 1e6
+    assert_gates(*(case["gate"] for case in cases.values()))
 
 
 def test_vectorized_quantile_throughput(benchmark, view):
@@ -453,6 +465,43 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+@contextmanager
+def _stage_cpu(totals: dict):
+    """While active, add each registry kernel's CPU time to
+    ``totals["kernel.<family>"]`` and the QoS accounting's to
+    ``totals["account"]``: wrapped from outside the program, as
+    ``perfbench``'s traced runs wrap the kernels.  A kernel's time
+    includes the shared stages it builds (chen's includes the ``EA`` that
+    sfd then reads)."""
+    families = registry.families()
+    account = engine._account
+
+    def clocked(name, fn):
+        def call(*args):
+            c0 = time.process_time()
+            try:
+                return fn(*args)
+            finally:
+                totals[name] = totals.get(name, 0.0) + time.process_time() - c0
+
+        return call
+
+    for fam in families:
+        registry.register(
+            dataclasses.replace(
+                fam, kernel=clocked(f"kernel.{fam.name}", fam.kernel)
+            ),
+            replace=True,
+        )
+    engine._account = clocked("account", account)
+    try:
+        yield totals
+    finally:
+        engine._account = account
+        for fam in families:
+            registry.register(fam, replace=True)
+
+
 def test_cold_plan_first_touch(pipeline_store):
     """A cold plan run of ``perfbench`` ``pipeline``'s shape: CPU and first touch.
 
@@ -463,17 +512,25 @@ def test_cold_plan_first_touch(pipeline_store):
     first-touches, ~4 KiB each — and ``tracemalloc`` peaks in view-length
     float64 arrays (``8·n`` bytes): the whole run, Chen's ``EA`` build,
     φ's stage build, and one grouped point's accounting on the scratch its
-    group lends.
+    group lends and the rising-arrival mask its trace's scope holds.
+    Three more cold runs are clocked per stage (:func:`_stage_cpu`), and
+    the fastest of them gives the CPU time of the accounting, of each
+    family's kernel and of the rest of the run (store open, plan and
+    executor).
 
     The gate is the whole run's peak alone: a count of bytes the code
     allocates, the same on every host, where CPU and faults depend on the
     host's allocator and load.  Its bound of 6 arrays follows from the
     stages.  The peak falls in the φ group: Chen's ``EA`` (1, kept in the
-    trace's scope for sfd), φ's stage (2), one point's freshness array
-    (1) and the group's accounting scratch (1 float64 plus ⅛ bool) make
-    5.125, and the feedback loop's per-slot rows add under 0.5 at slot
-    100, so 6 leaves a third of an array of slack.  Before the stages ran
-    in place on group-owned buffers, the same run peaked at ~15.
+    trace's scope for sfd), the view's rising-arrival mask (⅛ bool, kept
+    in the scope for every point's accounting), φ's stage (2), one
+    point's freshness array (1) and the group's accounting scratch (1
+    float64 plus ⅛ bool) make 5.25.  The accounting's late indices and
+    gathered lateness add twice a point's late share (under 0.2 at φ's
+    most aggressive point), and the feedback loop's per-slot rows add
+    under 0.5 at slot 100, so 6 leaves a quarter of an array of slack.
+    Before the stages ran in place on group-owned buffers, the same run
+    peaked at ~15.
     """
     path = str(pipeline_store.path)
     view = TraceStore(path).view()
@@ -494,6 +551,15 @@ def test_cold_plan_first_touch(pipeline_store):
         cold()
         cpu.append(time.process_time() - c0)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+    clocked = []
+    for _ in range(3):
+        with _stage_cpu({}) as totals:
+            c0 = time.process_time()
+            cold()
+            run_cpu = time.process_time() - c0
+        totals["other"] = run_cpu - sum(totals.values())
+        clocked.append((run_cpu, totals))
+    stage_run_cpu, stage_cpu = min(clocked, key=lambda pair: pair[0])
     plan_peak = _traced_peak(cold) / unit
     ea_peak = _traced_peak(lambda: chen_expected_arrivals(view, 1000)) / unit
     phi_peak = _traced_peak(lambda: phi_stage(view, 1000)) / unit
@@ -503,18 +569,29 @@ def test_cold_plan_first_touch(pipeline_store):
 
     def account():
         with holder.scratch(n - 999) as scratch:
-            _account(view, fp, 999, scratch)
+            _account(view, fp, 999, scratch, holder.scope["rising"])
 
     account_peak = _traced_peak(account) / unit
     best = min(cpu)
-    passed = plan_peak <= COLD_PLAN_PEAK_ARRAYS
+    peak_gate = gate(
+        "tracemalloc_peak_arrays.plan_run",
+        plan_peak,
+        COLD_PLAN_PEAK_ARRAYS,
+        at_most=True,
+    )
     emit(
         "replay_plan_cold",
         f"cold 23-point plan (chen x8, phi x7, fixed x4, sfd x4, window "
         f"1000) over {n} heartbeats: min-of-3 CPU {best * 1e3:.0f} ms "
         f"({best / (jobs * n) * 1e6:.4f} us per heartbeat replayed), "
         f"{statistics.median(faults) / 1e3:.1f}k minor faults per cold run; "
-        f"tracemalloc peak {plan_peak:.2f} arrays (gate "
+        f"stage CPU of the fastest of 3 clocked runs "
+        f"({stage_run_cpu * 1e3:.0f} ms): "
+        + ", ".join(
+            f"{name} {seconds * 1e3:.1f} ms"
+            for name, seconds in sorted(stage_cpu.items())
+        )
+        + f"; tracemalloc peak {plan_peak:.2f} arrays (gate "
         f"{COLD_PLAN_PEAK_ARRAYS:g}): EA {ea_peak:.2f}, phi stage "
         f"{phi_peak:.2f}, accounting per grouped point {account_peak:.3f}",
         data={
@@ -527,6 +604,7 @@ def test_cold_plan_first_touch(pipeline_store):
             "min_of_3_cpu_s": best,
             "min_of_3_cpu_us_per_hb": best / (jobs * n) * 1e6,
             "minflt_per_cold_run": faults,
+            "stage_cpu_s": {"run": stage_run_cpu, **stage_cpu},
             "tracemalloc_peak_arrays": {
                 "plan_run": plan_peak,
                 "chen_ea": ea_peak,
@@ -534,18 +612,10 @@ def test_cold_plan_first_touch(pipeline_store):
                 "accounting_per_point": account_peak,
             },
             "array_bytes": int(unit),
-            "gate": {
-                "metric": "tracemalloc_peak_arrays.plan_run",
-                "bound": COLD_PLAN_PEAK_ARRAYS,
-                "value": plan_peak,
-                "passed": passed,
-            },
+            "gate": peak_gate,
         },
     )
-    assert passed, (
-        f"cold plan peaked at {plan_peak:.2f} view-length arrays, "
-        f"bound {COLD_PLAN_PEAK_ARRAYS:g}"
-    )
+    assert_gates(peak_gate)
 
 
 def test_instrumentation_overhead(view):

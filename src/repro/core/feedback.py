@@ -223,8 +223,10 @@ class LinearSlots:
     and ``heartbeats`` samples.  It holds no late heartbeat when its own
     margin ``SM`` is at least ``late[k]`` (its body's guards) and the
     previous slot's margin is at least ``first[k]`` (its first heartbeat
-    is guarded by the previous slot's last freshness point).  ``ends[k]``
-    is the arrival that closes slot ``k``.
+    is guarded by the previous slot's last freshness point).  Otherwise
+    ``scan(k, SM_k, SM_{k−1})`` returns the count and summed lateness of
+    the slot's late reveals under those two margins.  ``ends[k]`` is the
+    arrival that closes slot ``k``.
     """
 
     heartbeats: int
@@ -232,6 +234,7 @@ class LinearSlots:
     late: list[float]
     first: list[float]
     ends: list[float]
+    scan: Callable[[int, float, float], tuple[int, float]]
 
 
 class FeedbackDriver:
@@ -248,8 +251,8 @@ class FeedbackDriver:
     takes the window's QoS, decides per Algorithm 1 and the controller's
     policy, steps and clamps the value into ``bounds``, and records the
     slot in :attr:`trace` and hands it to :attr:`on_slot`.  Streaming
-    hosts call it once per slot; the replay calls it over runs of slots at
-    a time.  Closing every slot in one loop is what makes the two SFD
+    hosts call it once per slot; the replay calls it once over all of its
+    slots.  Closing every slot in one loop is what makes the two SFD
     implementations identical.
     """
 
@@ -336,7 +339,7 @@ class FeedbackDriver:
         ``value`` and the trace alone.
         """
         tally = [mistakes, mistake_time, td_sum, td_count]
-        return self.close_slots(value, t_begin, tally, now)[0]
+        return self.close_slots(value, t_begin, tally, now)
 
     def close_slots(
         self,
@@ -346,21 +349,21 @@ class FeedbackDriver:
         now: float | None = None,
         slots: LinearSlots | None = None,
         margins: MutableSequence[float] | None = None,
-    ) -> tuple[float, int | None]:
+    ) -> float:
         """The slot recurrence: close slots in order, state in locals.
 
         ``tally`` is ``[mistakes, mistake_time, td_sum, td_count]``,
         cumulative since accounting began at ``t_begin``; it is updated in
         place.  With ``now``, the slot that ends at ``now`` is closed
         first, on ``tally`` as given: that is a streaming host's call.
-        With ``slots``, the recurrence then tallies slot ``k =
-        len(margins)`` and those after it itself, appending each slot's
-        value to ``margins``, and closes each one that holds no late
-        heartbeat.  It stops after tallying the first slot that may hold
-        one and returns that slot's index: the caller adds the slot's
-        mistakes to ``tally`` and calls again with ``now`` set to the
-        slot's end.  Returns ``(value, pending)``; ``pending`` is ``None``
-        once every slot is closed.
+        With ``slots``, the recurrence then tallies and closes slot ``k =
+        len(margins)`` and every slot after it itself, appending each
+        slot's value to ``margins``.  A slot whose bounds its margins do
+        not clear may hold a late heartbeat: the recurrence calls
+        ``slots.scan(k, SM_k, SM_{k−1})`` with the value it holds and the
+        previous one, adds the returned count to the mistakes and the
+        lateness to the mistake time, and closes the slot in the same
+        pass.  Returns the value after the last slot closed.
 
         A slot close diffs the cumulative tallies against the base of the
         evaluation window, classifies the window's QoS with Algorithm 1's
@@ -405,9 +408,9 @@ class FeedbackDriver:
         else:
             h = slots.heartbeats
             td, late, first, ends = slots.td, slots.late, slots.first, slots.ends
+            scan = slots.scan
             k, stop = len(margins), len(ends)
             put = margins.append
-        pending = None
         try:
             while True:
                 prev = value
@@ -505,15 +508,17 @@ class FeedbackDriver:
                         value = after
                 if k == stop:
                     break
-                # Slot k: tally what the margin adds; close it if no
-                # heartbeat of it can be late.
+                # Slot k: tally what the margin adds, and the late reveals
+                # of a slot whose bounds its margins do not clear; the next
+                # pass closes it.
                 put(value)
                 td_sum += td[k] + value * h
                 td_count += h
                 now = ends[k]
                 if not (value >= late[k] and prev >= first[k]):
-                    pending = k
-                    break
+                    count, lateness = scan(k, value, prev)
+                    mistakes += count
+                    mistake_time += lateness
                 k += 1
         finally:
             ctl.status = status
@@ -528,7 +533,7 @@ class FeedbackDriver:
                 records = self.trace
                 for record in records[len(records) - closed :]:
                     hook(record)
-        return value, pending
+        return value
 
     @property
     def status(self) -> TuningStatus:

@@ -32,9 +32,11 @@ Work that several families share lives one level up, in the holder's
 per-trace :attr:`~PreparedStage.scope`: chen, bertier and sfd all read
 Chen's ``EA`` through :meth:`PreparedStage.shared` under the key
 ``("chen_ea", window, nominal_interval)``, so a plan builds it once per
-trace.  The holder also lends the accounting that follows each kernel
-call a view-length scratch (:meth:`PreparedStage.scratch`), so a group's
-later points first-touch only their own freshness array.
+trace, and every point's QoS accounting reads the view's rising-arrival
+mask under ``"rising"``.  The holder also lends the accounting that
+follows each kernel call a view-length scratch
+(:meth:`PreparedStage.scratch`), so a group's later points first-touch
+only their own freshness array.
 
 A lone :func:`~repro.replay.engine.replay` passes ``PreparedStage((spec,))``,
 with a scope of its own, so it runs the same code as a sweep.  A kernel
@@ -136,9 +138,12 @@ class PreparedStage:
 
     ``scope`` is a dict shared by every holder over the same trace (a
     fresh one by default): :meth:`shared` builds a value once for all of
-    them.  Whoever creates the holders clears the scope after the last
-    group over its trace.  :meth:`scratch` lends the group's reusable
-    accounting buffers.
+    them.  It holds Chen's ``EA`` per ``(window, nominal_interval)`` and
+    the view's rising-arrival mask ``A[1:] > A[:-1]`` that every point's
+    accounting reads (:func:`repro.replay.engine.replay`), both
+    read-only.  Whoever creates the holders clears the scope after the
+    last group over its trace.  :meth:`scratch` lends the group's
+    reusable accounting buffers.
     """
 
     __slots__ = ("specs", "scope", "_stage", "_spare")

@@ -32,10 +32,12 @@ and file identity (~200 bytes), so on platforms without ``fork`` — where
 initargs travel by pickle — each worker re-opens its own memory mapping
 of the trace file instead of unpickling megabytes of view arrays; serial
 and parallel runs stay bit-identical because every mapping reads the
-same on-disk bytes, and a worker whose path now names another file fails
-with :class:`~repro.errors.TraceFormatError` instead of replaying it.  No
-parent-process state is mutated, so concurrent ``run`` calls from
-different threads are safe.
+same on-disk bytes.  A store whose path now names another file does not
+decode: each job over it fails with
+:class:`~repro.errors.TraceFormatError` instead of replaying that file,
+and jobs over the plan's other traces run as usual.  No parent-process
+state is mutated, so concurrent ``run`` calls from different threads are
+safe.
 
 Failure handling is driven by a declarative
 :class:`~repro.exp.policy.FailurePolicy`, and stays per job inside a
@@ -72,6 +74,7 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import queue
 import threading
 import time
@@ -351,26 +354,57 @@ class SerialExecutor:
 # process fan-out
 # ------------------------------------------------------------------ #
 
-#: Per-worker view table, set by the pool initializer in each child.
-#: Never assigned in the parent process: under ``fork`` the initargs are
-#: inherited through process memory (copy-on-write, no pickling), and a
+#: Per-worker view table, set by the pool initializer in each child: a
+#: view, or the exception its entry raised when decoded.  Never assigned
+#: in the parent process: under ``fork`` the initargs are inherited
+#: through process memory (copy-on-write, no pickling), and a
 #: parent-side global would race when two plans run from different
 #: threads.
-_WORKER_VIEWS: Mapping[str, MonitorView | TraceStore] | None = None
+_WORKER_VIEWS: Mapping[str, MonitorView | TraceStore | Exception] | None = None
 
 
-def _init_worker(views: Mapping[str, MonitorView | TraceStore]) -> None:
+def _ship(views: Mapping[str, MonitorView | TraceStore], ctx) -> Mapping:
+    """The view table as a pool's initializer argument.
+
+    A ``fork`` child inherits the table itself.  Otherwise every entry is
+    pickled here on its own, and :func:`_init_worker` decodes it in the
+    worker: a pool would unpickle its initializer arguments before the
+    initializer runs, so an entry that fails to decode (a store whose
+    file was replaced raises :class:`~repro.errors.TraceFormatError`)
+    would kill every worker and break the pool.
+    """
+    if ctx.get_start_method() == "fork":
+        return views
+    return {name: pickle.dumps(view) for name, view in views.items()}
+
+
+def _init_worker(views: Mapping[str, MonitorView | TraceStore | bytes]) -> None:
     global _WORKER_VIEWS
-    _WORKER_VIEWS = views
+    table: dict[str, MonitorView | TraceStore | Exception] = {}
+    for name, entry in views.items():
+        if isinstance(entry, bytes):
+            try:
+                entry = pickle.loads(entry)  # pickled by _ship in the driver
+            except Exception as exc:
+                entry = exc  # every job over this trace raises it
+        table[name] = entry
+    _WORKER_VIEWS = table
 
 
 def _run_job(job: ReplayJob, attempt: int, prepared: PreparedStage):
-    """One job in a worker: never raises — failures travel home as tracebacks."""
+    """One job in a worker: never raises — failures travel home as tracebacks.
+
+    A job over a trace whose table entry failed to decode raises that
+    error, so it comes home as the job's traceback like any other failure.
+    """
     try:
         views = _WORKER_VIEWS
         if views is None:  # pragma: no cover - initializer always runs
             raise RuntimeError("worker started without a view table")
-        return job.index, _execute(job, views[job.trace], None, prepared), None
+        view = views[job.trace]
+        if isinstance(view, Exception):
+            raise view.with_traceback(None)
+        return job.index, _execute(job, view, None, prepared), None
     except BaseException:
         return job.index, None, traceback.format_exc()
 
@@ -484,7 +518,7 @@ class ProcessPoolExecutor:
             max_workers=capacity,
             mp_context=ctx,
             initializer=_init_worker,
-            initargs=(views,),
+            initargs=(_ship(views, ctx),),
         )
 
     def run(

@@ -313,17 +313,21 @@ def _account(
     fp: np.ndarray,
     r0: int,
     scratch: tuple[np.ndarray, np.ndarray] | None = None,
+    rising: np.ndarray | None = None,
 ) -> QoSReport:
     """Uniform QoS accounting over the post-warm-up region.
 
-    One fused array pass (:func:`repro.qos.metrics.qos_from_freshness`):
-    no per-heartbeat Python, and no interval-bound temporaries, between
-    the freshness series and the report.  ``scratch`` is a ``(float64,
+    A few array passes (:func:`repro.qos.metrics.qos_from_freshness`): no
+    per-heartbeat Python, and no interval-bound temporaries, between the
+    freshness series and the report.  ``scratch`` is a ``(float64,
     bool)`` buffer pair of at least ``len(view) − r0`` elements, such as
     :meth:`PreparedStage.scratch <repro.detectors.registry.PreparedStage.scratch>`
-    lends: the detection-time samples and then the reveal gaps are
-    written into its floats, the late mask into its flags.  Without one,
-    the pair is allocated here.
+    lends: the detection-time samples and then the late reveals'
+    lateness are written into its floats, the late mask into its flags.
+    Without one, the pair is allocated here.  ``rising`` is the view's
+    ``arrivals[1:] > arrivals[:-1]`` over the whole view, such as the
+    trace's scope holds (:func:`_rising`); without it the accounting
+    builds the mask over its own span.
     """
     arrivals = view.arrivals[r0:]
     fresh = fp[r0:]
@@ -340,7 +344,18 @@ def _account(
         t_end=float(arrivals[-1]),
         gaps=floats,
         late=flags,
+        rising=None if rising is None else rising[r0:],
     )
+
+
+def _rising(view: MonitorView) -> np.ndarray:
+    """``arrivals[1:] > arrivals[:-1]``: which arrivals can reveal a late
+    heartbeat, whatever the freshness points (read-only, since a trace's
+    scope shares it between every point's accounting)."""
+    arrivals = view.arrivals
+    rising = np.greater(arrivals[1:], arrivals[:-1])
+    rising.flags.writeable = False
+    return rising
 
 
 ReplaySource = Union[MonitorView, HeartbeatTrace, TraceStore, str, Path]
@@ -373,9 +388,10 @@ def replay(
     group.  Without it replay passes ``PreparedStage((spec,))``, so the
     kernel builds its stage for this spec alone — the same prepare →
     evaluate code either way, so results are equal bit for bit.  The
-    accounting runs on the holder's scratch buffers; the returned
-    :attr:`ReplayResult.freshness` is the kernel's own array, never a
-    scratch.
+    accounting runs on the holder's scratch buffers, and reads the view's
+    rising-arrival mask (:func:`_rising`) from the holder's per-trace
+    scope; the returned :attr:`ReplayResult.freshness` is the kernel's
+    own array, never a scratch.
     """
     # Lazy import: the registry sits above both the detectors and replay
     # layers, so importing it at module scope would be cyclic.
@@ -393,8 +409,9 @@ def replay(
     if prepared is None:
         prepared = registry.PreparedStage((spec,))
     run = family.kernel(view, spec, prepared)
+    rising = prepared.shared("rising", lambda: _rising(view))
     with prepared.scratch(len(view) - r0) as scratch:
-        qos = _account(view, run.freshness, r0, scratch)
+        qos = _account(view, run.freshness, r0, scratch, rising)
     if instruments is not None:
         instruments.record_replay(
             spec.detector, len(view), time.perf_counter() - t0, qos=qos

@@ -60,6 +60,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.ndimage import rank_filter
@@ -635,7 +636,8 @@ def sfd_stage(
     """SFD's stage on a prepared Chen ``EA`` array: per full slot, its
     ``Σ(EA − σ)`` (one row-wise reduce, equal to ``np.sum`` of the slot's
     slice), its late bounds (:func:`_late_bounds`, :func:`_first_bounds`)
-    and the arrival that closes it."""
+    and the arrival that closes it, and the scan of a slot's late reveals
+    (:func:`_late_reveals`) over the view's arrivals and ``ea``."""
     _require_view(view, window + 1)
     arrivals = view.arrivals
     r0 = window - 1  # first index with a full window (streaming `ready`)
@@ -657,6 +659,9 @@ def sfd_stage(
             _late_bounds(a_rows, ea_rows).tolist(),
             _first_bounds(a_rows, ea_rows).tolist(),
             a_rows[:, -1].tolist(),
+            # A plain array over the same memory: a memmap-backed view
+            # would run memmap's Python hooks on every slice of every scan.
+            partial(_late_reveals, np.asarray(arrivals), ea, r0, heartbeats),
         ),
     )
 
@@ -682,12 +687,14 @@ def sfd_evaluate(
     reveal is guarded by the previous slot's margin and its body reveals
     by its own margin ``SM``.
 
-    The feedback loop's slot recurrence
+    One call of the feedback loop's slot recurrence
     (:meth:`~repro.core.feedback.FeedbackDriver.close_slots`) tallies and
-    closes every slot whose margins are at least its bounds: none of its
-    reveals is late, so it adds no mistake.  It hands back each slot that
-    may hold a late heartbeat, whose reveals are then scanned as arrays
-    (:func:`_late_reveals`) before the recurrence closes it and goes on.
+    closes every slot.  A slot whose margins are at least its bounds adds
+    no mistake: none of its reveals is late.  For a slot that may hold a
+    late heartbeat, the recurrence calls the stage's scan
+    (:func:`_late_reveals`) with the slot's margin and the previous one,
+    adds the late count and lateness to its tallies, and closes the slot
+    without leaving its loop.
 
     The skip is exact, not approximate.  Rounded float64 addition is
     monotone, so ``SM ≥ T`` gives ``fl(EA + SM) ≥ fl(EA + T) ≥ A`` for
@@ -722,23 +729,13 @@ def sfd_evaluate(
         slot,
         sm_bounds,
     )
-    close_slots = driver.close_slots
-    t_begin = float(arrivals[r0])
     # Cumulative [mistakes, mistake_time, td_sum, td_count], as
     # MistakeAccumulator keeps them, and each slot's margin.
     tally = [0, 0.0, 0.0, 0]
     margins = array("d")
-    sm, pending = close_slots(
-        driver.clamp(float(sm1)), t_begin, tally, None, slots, margins
+    sm = driver.close_slots(
+        driver.clamp(float(sm1)), float(arrivals[r0]), tally, None, slots, margins
     )
-    while pending is not None:
-        late, late_time = _late_reveals(arrivals, ea, r0, h, pending, margins)
-        tally[0] += late
-        tally[1] += late_time
-        # Streaming closes the slot at the arrival of its last heartbeat.
-        sm, pending = close_slots(
-            sm, t_begin, tally, slots.ends[pending], slots, margins
-        )
     fp = np.empty(n, dtype=np.float64)
     fp[:r0] = np.nan
     np.add(
@@ -758,25 +755,32 @@ def _late_reveals(
     r0: int,
     h: int,
     k: int,
-    margins: array,
+    sm: float,
+    sm_prev: float,
 ) -> tuple[int, float]:
     """The late reveals of slot ``k``: their count and summed lateness.
 
-    Arrival ``j`` reveals the gap after ``j − 1``, guarded by
-    ``FP[j − 1] = EA[j − 1] + SM``: the slot's first arrival by the
-    previous slot's last point (margin ``margins[k − 1]``), the others by
-    the slot's own (``margins[k]``).  Slot 0's first arrival, index
-    ``r0``, reveals nothing.
+    SFD's stage binds the first four arguments; the slot recurrence calls
+    the rest as ``scan(k, SM_k, SM_{k−1})``.  Arrival ``j`` reveals the
+    gap after ``j − 1``, guarded by ``FP[j − 1] = EA[j − 1] + SM``: the
+    slot's first arrival by the previous slot's last point (margin
+    ``sm_prev``), the others by the slot's own (``sm``).  Slot 0's first
+    arrival, index ``r0``, reveals nothing.
     """
     start = r0 + k * h
     lo = start + 1 if k == 0 else start
     stop = start + h
-    guard = ea[lo - 1 : stop - 1] + margins[k]
+    gap = ea[lo - 1 : stop - 1] + sm  # the guards, then the gaps, in place
     if k:
-        guard[0] = ea[start - 1] + margins[k - 1]
-    gap = arrivals[lo:stop] - np.maximum(guard, arrivals[lo - 1 : stop - 1])
+        gap[0] = ea[start - 1] + sm_prev
+    np.maximum(gap, arrivals[lo - 1 : stop - 1], out=gap)
+    np.subtract(arrivals[lo:stop], gap, out=gap)
     late = gap > 0.0
-    return int(np.count_nonzero(late)), float(np.sum(gap[late]))
+    count = int(np.count_nonzero(late))
+    if not count:
+        return 0, 0.0
+    # np.add.reduce is np.sum's reduction without its Python wrapper.
+    return count, float(np.add.reduce(gap[late]))
 
 
 def _late_bounds(a_rows: np.ndarray, ea_rows: np.ndarray) -> np.ndarray:

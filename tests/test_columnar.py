@@ -18,6 +18,7 @@ What the store *is* — layout round-trips, corrupt files rejected as
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import re
@@ -29,6 +30,8 @@ from repro.errors import ConfigurationError, TraceFormatError
 from repro.exp.cache import SweepCache
 from repro.exp.executors import ProcessPoolExecutor, SerialExecutor
 from repro.exp.plan import ExperimentPlan
+from repro.exp.policy import FailurePolicy
+from repro.obs import Instruments
 from repro.replay import replay
 from repro.replay.engine import ChenSpec
 from repro.traces import (
@@ -179,6 +182,52 @@ def test_unpickling_a_view_table_after_replacement_raises(tmp_path):
     _replace_with_another_store(path, n=20_000, seed=32)
     with pytest.raises(TraceFormatError, match="not the file the store was pickled from"):
         pickle.loads(blob)
+
+
+def test_spawn_pool_fails_only_the_jobs_over_a_replaced_store(tmp_path):
+    """The file is replaced after the plan fingerprinted its store and
+    before a ``spawn`` pool starts: every job over that store fails with
+    :class:`TraceFormatError` as its own traceback, nothing is stored
+    under its key, no pool breaks, and the plan's other trace completes."""
+    moved = tmp_path / "moved.bin"
+    write_columnar(synthesize(WAN_JAIST, n=20_000, seed=31), moved)
+    kept = synthesize(WAN_JAIST, n=20_000, seed=33).monitor_view()
+    fingerprint = TraceStore(moved).fingerprint()
+
+    class SpawnPool(ProcessPoolExecutor):
+        def _inline_ok(self):
+            return False
+
+        def _make_pool(self, capacity, ctx, views):
+            if views["moved"].identity() is not None:
+                _replace_with_another_store(moved, n=20_000, seed=32)
+            spawn = multiprocessing.get_context("spawn")
+            return super()._make_pool(capacity, spawn, views)
+
+    plan = ExperimentPlan().add_trace("moved", TraceStore(moved))
+    plan.add_trace("kept", kept)
+    for name in ("moved", "kept"):
+        plan.add_sweep(name, "chen", (0.1, 0.2), window=100)
+    cache = SweepCache(tmp_path / "cache")
+    ins = Instruments()
+    result = plan.run(
+        SpawnPool(jobs=2),
+        cache=cache,
+        policy=FailurePolicy(mode="continue", max_retries=0),
+        instruments=ins,
+    )
+    failed = {f.job.index: f for f in result.failures}
+    over_moved = [job for job in plan.jobs() if job.trace == "moved"]
+    assert sorted(failed) == [job.index for job in over_moved]
+    for job in over_moved:
+        assert failed[job.index].kind == "error"
+        assert "TraceFormatError" in failed[job.index].traceback
+        assert "not the file the store was pickled from" in failed[job.index].traceback
+        assert cache.load(cache.key(fingerprint, job.family, job.spec)) is None
+    assert ins.exp_respawns.labels("crash").get() == 0.0
+    assert [p.qos for p in result.curve("kept", "chen").points] == [
+        replay(ChenSpec(alpha=a, window=100), kept).qos for a in (0.1, 0.2)
+    ]
 
 
 def test_unpickling_a_store_changed_in_place_raises(wan_trace, tmp_path):

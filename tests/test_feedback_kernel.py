@@ -6,8 +6,9 @@ loop with its state in locals: the evaluation window (cumulative, trailing
 Algorithm 1's decision under every :class:`InfeasiblePolicy`, the step and
 the clamp.  Closed slots are kept as rows and built into
 :class:`TuningRecord` objects only when the trace is read.  Streaming
-hosts call it with one slot; the SFD replay calls it over runs of slots
-whose tallies are linear in the margin (:class:`LinearSlots`).
+hosts call it with one slot; the SFD replay calls it once over all of its
+slots, whose tallies are linear in the margin except for the late reveals
+that the slots' scan counts (:class:`LinearSlots`).
 
 The reference below is the per-slot call chain the loop replaced —
 ``close_slot → end_slot → _diff → decide → classify → clamp``, building a
@@ -548,15 +549,10 @@ def reference_linear(driver, value, t_begin, slots: LinearSlots, late):
 
 
 def recurrence_linear(driver, value, t_begin, slots: LinearSlots, late):
+    """One call: the recurrence scans, tallies and closes every slot."""
     tally = [0, 0.0, 0.0, 0]
     margins = []
-    value, pending = driver.close_slots(value, t_begin, tally, None, slots, margins)
-    while pending is not None:
-        tally[0] += late[pending][0]
-        tally[1] += late[pending][1]
-        value, pending = driver.close_slots(
-            value, t_begin, tally, slots.ends[pending], slots, margins
-        )
+    value = driver.close_slots(value, t_begin, tally, None, slots, margins)
     return value, margins
 
 
@@ -599,37 +595,73 @@ def test_linear_slots(rows, h, requirements, slot, policy, bounds, sm1):
     first = [r[2] for r in rows]
     if first:
         first[0] = -math.inf  # slot 0's first arrival reveals nothing
-    slots = LinearSlots(h, [r[0] for r in rows], [r[1] for r in rows], first, ends)
     late = [(r[4], r[5]) for r in rows]
+    scans = []
+
+    def scan(k, sm, sm_prev):
+        scans.append((k, sm, sm_prev))
+        return late[k]
+
+    slots = LinearSlots(
+        h, [r[0] for r in rows], [r[1] for r in rows], first, ends, scan
+    )
     new, old = pair(requirements, slot, policy=policy, bounds=bounds)
     value = new.clamp(sm1)
     expected = run_linear(reference_linear, old, value, 100.0, slots, late)
     actual = run_linear(recurrence_linear, new, value, 100.0, slots, late)
     assert actual == expected
     assert_same_records(new.trace, old.trace)
+    if actual[0] == "raised":
+        return
+    # Each scan carries the slot's margin and the previous slot's, and
+    # the recurrence scans exactly the slots whose bounds they miss.
+    margins = [struct.unpack("<d", struct.pack("<q", m))[0] for m in actual[1]]
+    missed = [
+        (k, sm, margins[k - 1] if k else sm)
+        for k, sm in enumerate(margins)
+        if not (sm >= slots.late[k] and (margins[k - 1] if k else sm) >= first[k])
+    ]
+    assert [(k, bits(sm), bits(p)) for k, sm, p in scans] == [
+        (k, bits(sm), bits(p)) for k, sm, p in missed
+    ]
 
 
-def test_linear_slots_stop_only_where_a_bound_fails():
-    """Clean slots close inside one call; the call returns at the first
-    slot whose bound the margin misses, already tallied."""
+def test_linear_slots_scan_only_where_a_bound_fails():
+    """One call closes every slot, and scans exactly the slots whose
+    bounds their margins miss: slot 2 by its own margin, slot 4 by the
+    previous slot's, which its call carries as ``SM_{k−1}``."""
+    scans = []
+
+    def scan(k, sm, sm_prev):
+        scans.append((k, sm, sm_prev))
+        return {2: (1, 0.5), 4: (2, 0.25)}[k]
+
     slots = LinearSlots(
         10,
-        [5.0] * 6,
+        [0.0, 0.0, 0.0, 20.0, 0.0, 0.0],
         [-math.inf, -math.inf, 0.5, -math.inf, -math.inf, -math.inf],
         [-math.inf, -math.inf, -math.inf, -math.inf, 0.5, -math.inf],
         [110.0, 120.0, 130.0, 140.0, 150.0, 160.0],
+        scan,
     )
-    driver = FeedbackDriver(FeedbackController(SPEED_ONLY), SlotConfig(10),
-                            (0.1, 0.1))
+    driver = FeedbackDriver(
+        FeedbackController(SPEED_ONLY, alpha=0.1, beta=0.5), SlotConfig(10)
+    )
     tally = [0, 0.0, 0.0, 0]
     margins: list[float] = []
-    assert driver.close_slots(0.1, 100.0, tally, None, slots, margins) == (0.1, 2)
-    assert len(margins) == 3 and len(driver.trace) == 2
-    assert tally == [0, 0.0, 3 * (5.0 + 0.1 * 10), 30]
-    # Slot 4's first arrival is guarded by slot 3's margin.
-    assert driver.close_slots(0.1, 100.0, tally, 130.0, slots, margins) == (0.1, 4)
-    assert driver.close_slots(0.1, 100.0, tally, 150.0, slots, margins) == (0.1, None)
-    assert len(margins) == 6 and [r.slot for r in driver.trace] == [1, 2, 3, 4, 5, 6]
+    # TD stays at the margin, 0.3 ≤ 0.5, until slot 3's TD sum of 20
+    # takes the mean to 0.8: each close from then on shrinks the margin
+    # by β·α, the last one included.
+    value = driver.close_slots(0.3, 100.0, tally, None, slots, margins)
+    assert margins == [0.3, 0.3, 0.3, 0.3, 0.25, 0.2]
+    assert value == 0.2 - 0.05
+    assert scans == [(2, 0.3, 0.3), (4, 0.25, 0.3)]
+    assert tally[:2] == [3, 0.75]
+    # Each slot closes on the mistakes revealed up to its last arrival.
+    trace = driver.trace
+    assert [r.slot for r in trace] == [1, 2, 3, 4, 5, 6]
+    assert [r.qos.mistakes for r in trace] == [0, 0, 1, 1, 3, 3]
+    assert [r.qos.mistake_time for r in trace] == [0.0, 0.0, 0.5, 0.5, 0.75, 0.75]
 
 
 # --------------------------------------------------------------------- #

@@ -1,17 +1,32 @@
-"""Suspicion-interval extraction and QoS accounting."""
+"""Suspicion-interval extraction and QoS accounting.
+
+The replay's accounting (:func:`qos_from_freshness`) finds late reveals by
+comparison and takes lateness only where a reveal is late.  The
+subtraction-based accounting it replaced, every reveal's gap computed and
+kept where positive, stays below as the oracle: reports must be ``==``
+field for field, floats compared as their bits.
+"""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.qos.metrics import (
+    DENSE_LATE_SHARE,
     MistakeAccumulator,
+    _mean_detection,
+    _report,
     account_arrival,
+    qos_from_freshness,
     qos_from_intervals,
     suspicion_intervals_from_freshness,
 )
+from repro.replay.engine import _account, _rising
+from repro.traces.trace import MonitorView
 
 
 class TestSuspicionIntervals:
@@ -182,3 +197,170 @@ class TestAccountArrival:
         assert report.mistakes == 0
         assert report.query_accuracy == 1.0
         assert report.detection_time == math.inf
+
+
+# --------------------------------------------------------------------- #
+# late reveals by comparison ≡ by subtraction
+# --------------------------------------------------------------------- #
+
+
+def subtraction_qos(arrivals, freshness, detection_times, t_begin, t_end):
+    """The oracle: every reveal's gap ``A[1:] − max(FP[:-1], A[:-1])`` by
+    subtraction, late where positive, summed over the late gaps."""
+    arrivals = np.asarray(arrivals, dtype=np.float64)
+    freshness = np.asarray(freshness, dtype=np.float64)
+    td, samples = _mean_detection(detection_times)
+    if arrivals.size < 2:
+        return _report(0, 0.0, td, samples, t_begin, t_end)
+    gaps = np.maximum(freshness[:-1], arrivals[:-1])
+    np.subtract(arrivals[1:], gaps, out=gaps)
+    wrong = gaps[gaps > 0.0]
+    mistakes = int(wrong.size)
+    mistake_time = float(np.sum(wrong)) if mistakes else 0.0
+    return _report(mistakes, mistake_time, td, samples, t_begin, t_end)
+
+
+def report_bits(report) -> tuple:
+    return tuple(
+        struct.unpack("<q", struct.pack("<d", v))[0] if isinstance(v, float) else v
+        for v in (
+            report.detection_time,
+            report.mistake_rate,
+            report.query_accuracy,
+            report.mistakes,
+            report.mistake_time,
+            report.accounted_time,
+            report.samples,
+        )
+    )
+
+
+def assert_accounts_like_subtraction(arrivals, freshness):
+    """Every way of calling the comparison path equals the oracle."""
+    arrivals = np.asarray(arrivals, dtype=np.float64)
+    freshness = np.asarray(freshness, dtype=np.float64)
+    td = np.zeros(arrivals.size)
+    span = (float(arrivals[0]), float(arrivals[-1]) + 1.0)
+    expected = report_bits(subtraction_qos(arrivals, freshness, td, *span))
+    m = max(arrivals.size - 1, 0)
+    rising = arrivals[1:] > arrivals[:-1]
+    gaps = np.full(arrivals.size + 3, np.nan)
+    late = np.ones(arrivals.size + 3, dtype=bool)
+    for kwargs in (
+        {},
+        {"rising": rising},
+        {"gaps": gaps, "late": late},
+        {"gaps": gaps, "late": late, "rising": rising},
+    ):
+        actual = qos_from_freshness(arrivals, freshness, td, *span, **kwargs)
+        assert report_bits(actual) == expected, kwargs
+    return expected[3] / m if m else 0.0
+
+
+#: Reveal gaps drawn with ties (``A[j+1] == A[j]``) and tiny steps.
+gap_pool = st.one_of(
+    st.just(0.0), st.just(5e-324), st.floats(1e-9, 1e-3), st.floats(0.05, 2.0)
+)
+#: Freshness offsets from each arrival: late, on time, degenerate, NaN, ±inf.
+offset_pool = st.one_of(
+    st.just(0.0),
+    st.just(math.nan),
+    st.just(math.inf),
+    st.just(-math.inf),
+    st.floats(-1.0, 1.0),
+    st.floats(1e-12, 1e-6),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    start=st.sampled_from((0.0, 0.3, 1.5e6, 2.0**40)),
+    gaps=st.lists(gap_pool, min_size=0, max_size=120),
+    offsets=st.data(),
+)
+def test_comparison_accounting_equals_subtraction(start, gaps, offsets):
+    arrivals = start + np.concatenate(([0.0], np.cumsum(gaps)))
+    arrivals = np.maximum.accumulate(arrivals)  # rounding keeps them sorted
+    freshness = arrivals + np.array(
+        offsets.draw(
+            st.lists(offset_pool, min_size=arrivals.size, max_size=arrivals.size)
+        )
+    )
+    assert_accounts_like_subtraction(arrivals, freshness)
+
+
+def test_ties_and_nonfinite_freshness():
+    arrivals = np.array([0.0, 1.0, 1.0, 2.0, 3.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+    freshness = np.array(
+        [0.5, 0.5, 0.9, np.nan, -np.inf, np.inf, 3.5, -1.0, np.nan, 8.0, 9.0]
+    )
+    assert_accounts_like_subtraction(arrivals, freshness)
+    report = qos_from_freshness(arrivals, freshness, np.zeros(11), 0.0, 9.0)
+    # Late: 1.0 after FP 0.5, 2.0 after its tied predecessor 1.0, 5.0
+    # after 4.0 and 6.0 after 5.0 (FP −1.0 is clipped at its arrival).
+    # Not late: a tie (1.0 → 1.0, and 3.0 → 3.0 under FP −inf), the gaps
+    # NaN and +inf guard, and 8.0 arriving exactly at its FP.
+    assert report.mistakes == 4
+    assert report.mistake_time == 0.5 + 1.0 + 1.0 + 1.0
+
+
+def heavy_tailed_arrivals(rng, n: int) -> np.ndarray:
+    """Sorted arrivals whose gaps span many magnitudes, so that summing
+    the lateness in any other order shows in the last bits."""
+    return 1e5 + np.cumsum(rng.lognormal(-2.0, 2.5, n))
+
+
+@pytest.mark.parametrize("offset, share", [(1e9, 0.0), (-1e9, 1.0)])
+def test_no_late_and_all_late_reveals(offset, share):
+    arrivals = heavy_tailed_arrivals(np.random.default_rng(5), 5000)
+    assert assert_accounts_like_subtraction(arrivals, arrivals + offset) == share
+
+
+@pytest.mark.parametrize("target", [0.02, 0.3, DENSE_LATE_SHARE - 0.05,
+                                    DENSE_LATE_SHARE + 0.05, 0.95])
+def test_both_lateness_paths(target):
+    """Late shares on both sides of the crossover, so the gathered and the
+    full-array lateness paths both run."""
+    rng = np.random.default_rng(int(target * 1000))
+    arrivals = heavy_tailed_arrivals(rng, 20_000)
+    timeout = np.quantile(np.diff(arrivals), 1.0 - target)
+    freshness = arrivals + timeout
+    freshness[rng.random(arrivals.size) < 0.01] = np.nan
+    share = assert_accounts_like_subtraction(arrivals, freshness)
+    assert abs(share - target) < 0.02
+    assert (share > DENSE_LATE_SHARE) == (target > DENSE_LATE_SHARE)
+
+
+@pytest.mark.parametrize("r0", [0, 1, 99, 2946])
+def test_account_slices_like_the_oracle(small_view, r0):
+    """``_account``'s ``r0`` slices, with and without the borrowed pair
+    and the view's ``rising``, against the oracle on the same slices."""
+    view = small_view
+    rng = np.random.default_rng(r0)
+    fp = view.arrivals + rng.uniform(0.0, 0.2, len(view))
+    fp[: r0 // 2] = np.nan  # warm-up points are never read
+    arrivals, fresh = view.arrivals[r0:], fp[r0:]
+    expected = report_bits(
+        subtraction_qos(
+            arrivals, fresh, fresh - view.send_times[r0:],
+            float(arrivals[0]), float(arrivals[-1]),
+        )
+    )
+    size = len(view) - r0
+    scratch = np.empty(size), np.empty(size, dtype=bool)
+    rising = _rising(view)
+    assert report_bits(_account(view, fp, r0)) == expected
+    assert report_bits(_account(view, fp, r0, scratch)) == expected
+    assert report_bits(_account(view, fp, r0, scratch, rising)) == expected
+    assert report_bits(_account(view, fp, r0, None, rising)) == expected
+
+
+def test_rising_is_the_views_strict_increase():
+    view = MonitorView(
+        seq=np.arange(6),
+        arrivals=np.array([0.0, 1.0, 1.0, 2.0, 2.0, 2.5]),
+        send_times=np.arange(6, dtype=np.float64),
+    )
+    rising = _rising(view)
+    assert rising.tolist() == [True, False, True, False, True]
+    assert not rising.flags.writeable

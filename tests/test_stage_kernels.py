@@ -39,7 +39,7 @@ from repro.detectors import registry
 from repro.detectors.phi import SIGMA_FLOOR
 from repro.exp import ExperimentPlan, ProcessPoolExecutor, SerialExecutor
 from repro.qos.spec import QoSRequirements
-from repro.replay import replay
+from repro.replay import engine, replay
 from repro.replay.engine import BertierSpec, ChenSpec, FixedSpec, PhiSpec, SFDSpec
 from repro.replay.vectorized import (
     bertier_freshness,
@@ -390,8 +390,29 @@ def test_shared_ea_is_read_only(small_view):
     spec = ChenSpec(alpha=0.1, window=100)
     holder = registry.PreparedStage((spec,))
     replay(spec, small_view, prepared=holder)
-    (ea,) = holder.scope.values()
+    ea = holder.scope[("chen_ea", 100, None)]
     assert not ea.flags.writeable
+
+
+def test_serial_plan_builds_one_rising_mask_per_trace(small_view, monkeypatch):
+    """Accounting reads the view's rising-arrival mask from the trace's
+    scope: every point of every group over one trace reads one build."""
+    calls = []
+    build = engine._rising
+
+    def counted(view):
+        calls.append(len(view))
+        return build(view)
+
+    monkeypatch.setattr(engine, "_rising", counted)
+    plan = ea_family_plan(small_view)
+    plan.add_sweep("t", "fixed", (0.1, 0.5))
+    plan.run(SerialExecutor())
+    assert calls == [len(small_view)]
+    spec = ChenSpec(alpha=0.1, window=100)
+    holder = registry.PreparedStage((spec,))
+    replay(spec, small_view, prepared=holder)
+    assert not holder.scope["rising"].flags.writeable
 
 
 # --------------------------------------------------------------------- #
