@@ -9,8 +9,9 @@ accuracy of the FD in every network."
 This bench sweeps the sending interval Δt over JAIST-like traces (same
 delay/loss models, same duration, only the heartbeat period changes) and
 measures, for each Δt, the accuracy Chen FD achieves at a *matched*
-detection time (TD ≈ 0.5 s, inverted exactly on the α-sweep via the
-one-pass sweeper).  Assertions: across the nominal range
+detection time (TD ≈ 0.5 s).  Chen's TD is exactly TD(0) + α, so two
+replays per interval invert it: one at α = 0 reads TD(0), one at the
+inverted α reads the QoS.  Assertions: across the nominal range
 (Δt ∈ [50 ms, 200 ms]) the achievable QAP at that detection time varies by
 well under one percentage point — the interval is a systems choice, not a
 QoS knob — while Δt = 400 ms demonstrates the range's *boundary*: the
@@ -23,8 +24,8 @@ import dataclasses
 
 import numpy as np
 
-from repro.analysis.fastsweep import ChenSweeper
 from repro.analysis.report import format_table
+from repro.replay import ChenSpec, replay
 from repro.traces import WAN_JAIST, synthesize
 
 from _common import SEED, emit
@@ -49,11 +50,11 @@ def run():
     for dt in INTERVALS:
         prof = profile_with_interval(dt)
         trace = synthesize(prof, n=prof.n_heartbeats, seed=SEED)
-        sweeper = ChenSweeper(trace.monitor_view(), window=500)
+        view = trace.monitor_view()
         # Invert TD(alpha) = TD(0) + alpha at the matched target.
-        td_base = sweeper.qos_at(0.0).detection_time
+        td_base = replay(ChenSpec(alpha=0.0, window=500), view).qos.detection_time
         alpha = max(TD_TARGET - td_base, 1e-6)
-        out[dt] = (alpha, sweeper.qos_at(alpha))
+        out[dt] = (alpha, replay(ChenSpec(alpha=alpha, window=500), view).qos)
     return out
 
 

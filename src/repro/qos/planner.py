@@ -14,6 +14,15 @@ detection time) among them — an engineer's choice off the performance
 graph.  Its structural weaknesses are exactly the paper's argument for
 SFD: it needs a representative trace *in advance*, and its choice goes
 stale when the network changes.
+
+Every performance graph here is drawn by the replay engine
+(:func:`repro.analysis.sweep.sweep_curve`), so each swept point's QoS
+equals :func:`repro.replay.replay`'s at that parameter, bit for bit.  The
+price is one kernel evaluation and one accounting pass per grid point:
+planning cost grows with points × heartbeats.  A point that cannot be
+replayed (a negative margin, a view no longer than the window) stops the
+plan with :class:`~repro.exp.executors.JobFailedError`, which wraps the
+replay's :class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -100,9 +109,9 @@ def plan_detector(
     ``None``) via :func:`repro.analysis.sweep.sweep_curve`, and picks the
     fastest feasible point per :func:`plan_from_curve` — the mechanized
     "performance output graph" procedure for every family, including
-    third-party registered ones.  For Chen specifically,
-    :func:`plan_chen_alpha` remains the fast path (dense grids via the
-    one-pass exact sweeper).
+    third-party registered ones.  Every swept point is an exact replay,
+    so the cost is one replay per grid point, and a point that cannot be
+    replayed raises :class:`~repro.exp.executors.JobFailedError`.
     """
     from repro.analysis.sweep import sweep_curve  # avoid import cycle
 
@@ -120,20 +129,22 @@ def plan_chen_alpha(
     """Offline-plan Chen FD's safety margin for a recorded trace.
 
     Sweeps ``α`` (default: a dense 200-point geometric grid spanning
-    sub-interval to beyond the detection bound — dense grids are free via
-    :class:`repro.analysis.fastsweep.ChenSweeper`, the one-pass exact
-    evaluator) and picks per :func:`plan_from_curve`.  Comparing the
-    result against SFD's tuned margin on the same trace is the library's
+    sub-interval to beyond the detection bound) through
+    :func:`plan_detector`, so every point's QoS equals
+    ``replay(ChenSpec(alpha=α, window=window), view).qos``.  The dense
+    default costs 200 replays: about 0.05 s over 58.7k heartbeats and
+    0.5 s over 490k on a 2-vCPU host.  A negative ``α`` or a view no
+    longer than ``window`` raises
+    :class:`~repro.exp.executors.JobFailedError`, wrapping the replay's
+    :class:`~repro.errors.ConfigurationError`.  Comparing the result
+    against SFD's tuned margin on the same trace is the library's
     manual-vs-self-tuning experiment
     (``benchmarks/bench_planner_vs_sfd.py``).
     """
-    from repro.analysis.fastsweep import fast_chen_curve  # avoid import cycle
-
     if alphas is None:
         hi = requirements.max_detection_time
         if not np.isfinite(hi):
             hi = 10.0
         lo = max(hi / 1000.0, 1e-5)
         alphas = [float(a) for a in np.geomspace(lo, 1.2 * hi, 200)]
-    curve = fast_chen_curve(view, alphas, window=window)
-    return plan_from_curve(curve, requirements)
+    return plan_detector("chen", view, requirements, grid=alphas, window=window)

@@ -264,7 +264,7 @@ class HeartbeatTrace:
         if is_columnar(path):
             return TraceStore(path).trace()
         try:
-            with np.load(path) as z:
+            with path.open("rb") as fh, np.load(fh) as z:
                 version = int(z["format_version"])
                 if version != _FORMAT_VERSION:
                     raise TraceFormatError(

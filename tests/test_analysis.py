@@ -204,69 +204,3 @@ class TestReport:
         }
         text = format_figure(curves, title="Fig")
         assert text.index("sfd") < text.index("chen")
-
-
-class TestFastSweep:
-    """The one-pass Chen evaluator must agree exactly with the replay."""
-
-    @staticmethod
-    def assert_agree(slow, fast):
-        assert len(slow) == len(fast)
-        for a, b in zip(slow.points, fast.points):
-            assert a.qos.mistakes == b.qos.mistakes
-            assert a.qos.mistake_time == pytest.approx(
-                b.qos.mistake_time, abs=1e-8
-            )
-            assert a.qos.detection_time == pytest.approx(
-                b.qos.detection_time, abs=1e-9
-            )
-            assert a.qos.query_accuracy == pytest.approx(
-                b.qos.query_accuracy, abs=1e-10
-            )
-
-    def test_exact_agreement_with_replay_sweep(self, view):
-        from repro.analysis import ChenSweeper
-
-        alphas = [0.0, 0.003, 0.02, 0.1, 0.5, 1.5]
-        slow = sweep_curve("chen", view, alphas, window=300)
-        fast = ChenSweeper(view, window=300).curve(alphas)
-        self.assert_agree(slow, fast)
-
-    def test_monotone_in_alpha(self, view):
-        from repro.analysis import ChenSweeper
-
-        sw = ChenSweeper(view, window=300)
-        prev = sw.qos_at(0.0)
-        for alpha in (0.01, 0.1, 0.5, 2.0):
-            cur = sw.qos_at(alpha)
-            assert cur.mistakes <= prev.mistakes
-            assert cur.mistake_time <= prev.mistake_time + 1e-12
-            assert cur.detection_time > prev.detection_time
-            prev = cur
-
-    def test_huge_alpha_is_perfect_accuracy(self, view):
-        from repro.analysis import ChenSweeper
-
-        q = ChenSweeper(view, window=300).qos_at(1e6)
-        assert q.mistakes == 0
-        assert q.query_accuracy == 1.0
-
-    def test_validation(self, view):
-        from repro.analysis import ChenSweeper
-
-        with pytest.raises(ConfigurationError):
-            ChenSweeper(view, window=10**6)
-        with pytest.raises(ConfigurationError):
-            ChenSweeper(view, window=300).qos_at(-1.0)
-
-    def test_nominal_interval_variant(self, view):
-        from repro.analysis import fast_chen_curve
-
-        # Nominal intervals near WAN-1's ~12.8 ms send mean, so every
-        # margin below the top one still counts mistakes.
-        alphas = [0.0, 0.01, 0.05, 0.2, 1.0]
-        for nominal in (0.0128, 0.013):
-            kw = {"window": 300, "nominal_interval": nominal}
-            slow = sweep_curve("chen", view, alphas, **kw)
-            fast = fast_chen_curve(view, alphas, **kw)
-            self.assert_agree(slow, fast)

@@ -18,10 +18,12 @@ What the store *is* — layout round-trips, corrupt files rejected as
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -389,8 +391,14 @@ def test_out_of_bounds_column_rejected(wan_trace, tmp_path):
 def test_corrupt_npz_raises_trace_format_error(tmp_path):
     bad = tmp_path / "t.npz"
     bad.write_bytes(b"PK\x03\x04 this is not really a zip file")
-    with pytest.raises(TraceFormatError, match="corrupt"):
-        HeartbeatTrace.load(bad)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(TraceFormatError, match="corrupt"):
+            HeartbeatTrace.load(bad)
+        gc.collect()
+    # The rejected file's descriptor is closed, not left to the collector.
+    leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not leaks, [str(w.message) for w in leaks]
 
 
 def test_missing_file_still_raises_file_not_found(tmp_path):

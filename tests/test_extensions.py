@@ -169,6 +169,30 @@ class TestPlanner:
         plan = plan_chen_alpha(view, impossible, window=500)
         assert not plan.satisfiable
 
+    def test_plan_chen_alpha_is_exact_replay(self):
+        from repro.replay import ChenSpec, replay
+
+        view = synthesize(WAN_1, n=20_000, seed=9).monitor_view()
+        req = QoSRequirements(max_detection_time=0.9)
+        grid = [0.0, 0.003, 0.02, 0.1, 0.5, 1.5, 1e6]
+        plan = plan_chen_alpha(view, req, alphas=grid, window=300)
+        assert [p.parameter for p in plan.swept.points] == grid
+        for p in plan.swept.points:
+            assert p.qos == replay(ChenSpec(alpha=p.parameter, window=300), view).qos
+        huge = plan.swept.points[-1].qos
+        assert huge.mistakes == 0
+        assert huge.query_accuracy == 1.0
+
+    def test_unreplayable_point_raises_job_failed(self):
+        from repro.exp import JobFailedError
+
+        view = synthesize(WAN_1, n=2_000, seed=9).monitor_view()
+        req = QoSRequirements(max_detection_time=0.9)
+        with pytest.raises(JobFailedError, match="alpha must be >= 0"):
+            plan_chen_alpha(view, req, alphas=[0.1, -1.0], window=300)
+        with pytest.raises(JobFailedError, match="need more than 5000"):
+            plan_chen_alpha(view, req, window=5000)
+
     def test_plan_detector_picks_the_curve_planners_point(self):
         from repro.analysis import sweep_curve
         from repro.qos import plan_detector

@@ -1,7 +1,5 @@
 """Network substrate: delay models, loss models, channel, clocks."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -19,7 +17,7 @@ from repro.net import (
     SpikeDelay,
     UnreliableChannel,
 )
-from repro.net.delay import CorrelatedLogNormalDelay, StallModel
+from repro.net.delay import CorrelatedLogNormalDelay
 from repro.traces.stats import loss_bursts
 
 RNG = lambda seed=0: np.random.default_rng(seed)  # noqa: E731
@@ -125,27 +123,6 @@ class TestDelayModels:
             SpikeDelay(
                 ConstantDelay(0.05), spike_rate=0.1, spike_min=0.3, spike_max=0.1
             )
-
-    def test_stall_model_moments(self):
-        m = StallModel(0.01, jitter=0.0005, components=((0.01, 0.05),))
-        s = m.sample(RNG(), 500_000)
-        assert s.mean() == pytest.approx(m.mean(), rel=0.02)
-        assert s.std() == pytest.approx(math.sqrt(m.variance), rel=0.1)
-        assert (s > 0).all()
-
-    def test_stall_model_mostly_regular(self):
-        m = StallModel(0.01, jitter=0.0002, components=((0.01, 0.05),))
-        s = m.sample(RNG(), 100_000)
-        late = s > 0.011
-        assert late.mean() == pytest.approx(0.01, rel=0.3)
-
-    def test_stall_model_validation(self):
-        with pytest.raises(ConfigurationError):
-            StallModel(0.0)
-        with pytest.raises(ConfigurationError):
-            StallModel(0.01, components=((1.5, 0.1),))
-        with pytest.raises(ConfigurationError):
-            StallModel(0.01, components=((0.1, -0.1),))
 
 
 class TestLossModels:

@@ -238,26 +238,6 @@ def test_lognormal_delay_respects_floor_and_mean(mean, std, floor_frac, seed):
     assert abs(float(s.mean()) - mean) < max(5 * std / math.sqrt(20_000), 0.05 * mean)
 
 
-@given(
-    st.floats(0.005, 0.2),     # base
-    st.lists(
-        st.tuples(st.floats(0.001, 0.2), st.floats(0.001, 2.0)),
-        min_size=0,
-        max_size=3,
-    ),
-    st.integers(0, 2**31 - 1),
-)
-@settings(max_examples=25, deadline=None)
-def test_stall_model_mean_matches_analytic(base, components, seed):
-    from repro.net.delay import StallModel
-
-    m = StallModel(base, jitter=0.0002, components=tuple(components))
-    s = m.sample(np.random.default_rng(seed), 100_000)
-    assert (s > 0).all()
-    tol = 5 * math.sqrt(max(m.variance, 1e-10) / 100_000) + 1e-4
-    assert abs(float(s.mean()) - m.mean()) < tol + 0.02 * m.mean()
-
-
 # --------------------------------------------------------------------- #
 # timeline properties
 # --------------------------------------------------------------------- #

@@ -5,13 +5,15 @@ compiled bytecode under version control, no per-family ``isinstance``
 ladders creeping back into the replay package now that dispatch goes
 through :mod:`repro.detectors.registry`, no streaming host writing its
 own copy of the self-accounting rule or the slot close, no runtime
-signature sniffing at the plugin seams, and no documented example that
-imports a name the package does not export.
+signature sniffing at the plugin seams, no documented example that
+imports a name the package does not export, and no cross-reference in
+the docs or docstrings that names deleted code.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 import subprocess
 from pathlib import Path
@@ -150,3 +152,107 @@ def test_doc_example_imports_resolve():
                 failures.append(f"{name}:{first + node.lineno - 1}: {stmt} ({exc})")
     assert imports, "found no imports in the documented examples"
     assert not failures, "\n".join(failures)
+
+
+#: Prose documents whose backticked references must resolve.
+#: ``perfbench/README.md`` is left out: it changes only together with the
+#: benchmark it describes.
+REFERENCE_DOCS = (
+    "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    "docs/*.md",
+    "examples/README.md",
+)
+
+#: Backticked spans with a ``/`` that name no file of the tree: paths a run
+#: creates, and shard notation.
+NOT_PATHS = {"cache/", "i/N", "shard-i-of-N/"}
+
+#: Where a backticked path may be rooted.
+PATH_ROOTS = ("", "src", "src/repro", "benchmarks")
+
+_CODE_FENCE = re.compile(r"^```.*?^```", re.M | re.S)
+_SPAN = re.compile(r"`([^`\n]+)`")
+_DOTTED = re.compile(r"repro(?:\.[A-Za-z_]\w*)+")
+_ROLE = re.compile(r":[a-z]+:`(?:[^`<]*<)?~?(repro(?:\.[A-Za-z_]\w*)+)>?`")
+_PATH = re.compile(r"[\w.*-]+(?:/[\w.*-]+)*/?")
+
+
+def _doc_spans():
+    """``(file:line, text)`` of every inline code span outside code blocks."""
+    for pattern in REFERENCE_DOCS:
+        for path in sorted(REPO.glob(pattern)):
+            text = _CODE_FENCE.sub(
+                lambda m: "\n" * m.group(0).count("\n"), path.read_text()
+            )
+            name = path.relative_to(REPO).as_posix()
+            for span in _SPAN.finditer(text):
+                line = text.count("\n", 0, span.start()) + 1
+                yield f"{name}:{line}", span.group(1)
+
+
+def _resolves(dotted: str) -> bool:
+    """Import the longest module prefix of ``dotted``, then ``getattr``
+    the rest, as Sphinx resolves a cross-reference."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            continue
+        try:
+            for part in parts[i:]:
+                obj = getattr(obj, part)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def _assert_resolve(refs):
+    assert refs, "found no references to check"
+    stale = [f"{where}: {dotted}" for where, dotted in refs if not _resolves(dotted)]
+    assert not stale, "stale references:\n" + "\n".join(stale)
+
+
+def test_doc_dotted_references_resolve():
+    """Every backticked ``repro.…`` name in the docs imports."""
+    refs = []
+    for where, text in _doc_spans():
+        name = _DOTTED.match(text)
+        if name:
+            refs.append((where, name.group(0)))
+    _assert_resolve(refs)
+
+
+def test_docstring_roles_resolve():
+    """Every Sphinx role (``:func:``, ``:class:``, …) naming ``repro.…``
+    in the package's docstrings and comments imports."""
+    refs = []
+    for path in sorted((REPO / "src").rglob("*.py")):
+        text = path.read_text()
+        name = path.relative_to(REPO).as_posix()
+        for role in _ROLE.finditer(text):
+            line = text.count("\n", 0, role.start()) + 1
+            refs.append((f"{name}:{line}", role.group(1)))
+    _assert_resolve(refs)
+
+
+def test_doc_paths_exist():
+    """Every backticked path in the docs names a file or directory of the
+    tree, relative to the repo root, ``src/``, ``src/repro/`` or
+    ``benchmarks/``; a pytest node id is checked by its file."""
+    checked = 0
+    missing = []
+    for where, text in _doc_spans():
+        path = text.split("::")[0]
+        if "/" not in path or path.startswith("/") or not _PATH.fullmatch(path):
+            continue
+        if path in NOT_PATHS:
+            continue
+        checked += 1
+        if not any(any((REPO / root).glob(path.rstrip("/"))) for root in PATH_ROOTS):
+            missing.append(f"{where}: {text}")
+    assert checked, "found no paths to check"
+    assert not missing, "paths that name nothing:\n" + "\n".join(missing)
